@@ -45,7 +45,7 @@
 
 use horse_bgp::msg::{Message, UpdateMsg};
 use horse_bgp::naive::{clone_units, NaiveRib, NaiveStats};
-use horse_bgp::rib::{AttrId, Decision, LocRib, RibStats};
+use horse_bgp::rib::{AttrId, BestPath, LocRib, RibStats};
 use horse_bgp::session::TimerConfig;
 use horse_bgp::speaker::{BgpSpeaker, SpeakerOutput};
 use horse_core::RunConfig;
@@ -148,20 +148,21 @@ struct NewNode {
 }
 
 impl NewNode {
-    fn export(&mut self, peer: Ipv4Addr, d: &Decision) {
-        if d.best.peer == peer {
+    fn export(&mut self, peer: Ipv4Addr, d: &BestPath) {
+        if d.peer == peer {
             return; // split horizon, outside the cache
         }
-        let key = (peer, d.best.attr_id);
+        let key = (peer, d.attr_id);
         if self.export.contains_key(&key) {
             self.export_hits += 1;
             return;
         }
         self.export_misses += 1;
-        let val = if d.best.attrs.contains_asn(self.remote_as[&peer]) {
+        let attrs = self.rib.attrs_of(d.attr_id);
+        let val = if attrs.contains_asn(self.remote_as[&peer]) {
             None
         } else {
-            let mut out = d.best.attrs.prepended(self.asn);
+            let mut out = attrs.prepended(self.asn);
             out.next_hop = self.local_addr[&peer];
             out.local_pref = None;
             out.med = None;

@@ -49,7 +49,7 @@
 //! parallel-pump speedup over a serial rerun of the middle row.
 
 use horse_bgp::msg::{Message, UpdateMsg};
-use horse_bgp::rib::{AttrId, Decision, LocRib, RibStats};
+use horse_bgp::rib::{AttrId, BestPath, Decision, LocRib, RibStats};
 use horse_bgp::session::TimerConfig;
 use horse_bgp::speaker::{BgpSpeaker, SpeakerOutput};
 use horse_bgp::BtreeRib;
@@ -215,18 +215,19 @@ struct NewNode {
 }
 
 impl NewNode {
-    fn export(&mut self, peer: Ipv4Addr, d: &Decision) {
-        if d.best.peer == peer {
+    fn export(&mut self, peer: Ipv4Addr, d: &BestPath) {
+        if d.peer == peer {
             return; // split horizon, outside the cache
         }
-        let key = (peer, d.best.attr_id.index());
+        let key = (peer, d.attr_id.index());
         if self.export.contains_key(&key) {
             return;
         }
-        let val = if d.best.attrs.contains_asn(self.remote_as[&peer]) {
+        let attrs = self.rib.attrs_of(d.attr_id);
+        let val = if attrs.contains_asn(self.remote_as[&peer]) {
             None
         } else {
-            let mut out = d.best.attrs.prepended(self.asn);
+            let mut out = attrs.prepended(self.asn);
             out.next_hop = self.local_addr[&peer];
             out.local_pref = None;
             out.med = None;

@@ -49,6 +49,8 @@ pub use policy::{
     gao_rexford_policy, AsPathRegex, PeerPolicy, PeerRole, PolicyAction, PolicyVerdict,
     PrefixMatch, RouteMap, RouteMapClause, RouteMapMatch, RouteMapSet,
 };
-pub use rib::{AttrId, AttrPool, AttrStore, Decision, LocRib, RibStats, RouteInfo};
+pub use rib::{
+    AttrId, AttrPool, AttrStore, BestPath, Decision, HopSetId, LocRib, RibStats, RouteInfo,
+};
 pub use session::{PeerConfig, Session, SessionState};
 pub use speaker::{BgpConfig, BgpSpeaker, SpeakerOutput};

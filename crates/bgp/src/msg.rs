@@ -167,11 +167,16 @@ impl PathAttributes {
     /// export).
     pub fn prepended(&self, asn: u16) -> PathAttributes {
         let mut out = self.clone();
-        match out.as_path.first_mut() {
-            Some(AsPathSegment::Sequence(seq)) => seq.insert(0, asn),
-            _ => out.as_path.insert(0, AsPathSegment::Sequence(vec![asn])),
-        }
+        out.prepend(asn);
         out
+    }
+
+    /// Prepends `asn` to the leading sequence in place.
+    pub fn prepend(&mut self, asn: u16) {
+        match self.as_path.first_mut() {
+            Some(AsPathSegment::Sequence(seq)) => seq.insert(0, asn),
+            _ => self.as_path.insert(0, AsPathSegment::Sequence(vec![asn])),
+        }
     }
 
     /// The neighboring (first) AS on the path, if any.

@@ -14,7 +14,8 @@
 //! Evaluation happens at exactly two choke points (see DESIGN.md):
 //! import inside [`crate::rib::LocRib::update_from_peer_policed`] before
 //! attributes are interned, and export inside the speaker's
-//! `export_route`, keyed into the export cache with a policy epoch.
+//! `export_route`, behind the per-peer export memo (cleared when that
+//! peer's policy is swapped).
 //! Policy-modified attribute sets intern through the same
 //! [`crate::rib::AttrStore`] as unmodified ones.
 //!

@@ -36,15 +36,17 @@
 //! post-convergence reconcile allocates nothing.
 
 use crate::msg::UpdateMsg;
-use crate::rib::{AttrId, Decision, LocRib, RibStats};
+use crate::rib::{AttrId, BestPath, HopSetId, LocRib, RibStats};
 use crate::session::{PeerConfig, Session, SessionEvent, SessionState, TimerConfig};
 use bytes::Bytes;
 use horse_net::addr::Ipv4Prefix;
-use horse_net::intern::{IdSet, PrefixId};
+use horse_net::intern::{FastMap, IdSet, PrefixId};
 use horse_sim::SimTime;
 use horse_trace::{ComponentLog, TraceData, Tracer};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+/// One prefix handed from a decision read down to the per-peer syncs.
+type Decided = (PrefixId, Option<BestPath>);
 
 /// Sentinel in an `adj_out` row: nothing advertised for this prefix.
 const NO_ATTR: u32 = u32::MAX;
@@ -114,17 +116,18 @@ pub struct BgpSpeaker {
     /// lazily; a session drop clears the row.
     adj_out: Vec<Vec<u32>>,
     /// Memoized export transform per peer index, keyed by
-    /// `(best-path attr id, prefix marker, policy epoch)`: `None` means
-    /// "suppressed" (AS-loop toward that peer, or an export route-map
-    /// deny). Split horizon is checked outside the cache (it depends on
-    /// where the best path was learned, not on its attributes). The prefix
-    /// marker is 0 unless the peer's export map matches on prefix, in
-    /// which case it is the prefix id + 1 — attr-only keying would
-    /// conflate prefixes such a map distinguishes. Entries are never
-    /// invalidated: the transform reads only static session config and the
-    /// installed policy, and a policy swap bumps `policy_epoch`, retiring
-    /// every old key.
-    export_cache: Vec<HashMap<(u32, u32, u32), Option<AttrId>>>,
+    /// `(best-path attr id, prefix marker)`: `None` means "suppressed"
+    /// (AS-loop toward that peer, or an export route-map deny). Split
+    /// horizon is checked outside the memo (it depends on where the best
+    /// path was learned, not on its attributes). The prefix marker is 0
+    /// unless the peer's export map matches on prefix, in which case it is
+    /// the prefix id + 1 — attr-only keying would conflate prefixes such a
+    /// map distinguishes. The transform reads only static session config
+    /// and the peer's installed policy, so entries live until
+    /// [`BgpSpeaker::set_peer_policy`] clears that peer's memo. A map, not
+    /// a dense vector: attr ids are pool-global, so a vector per peer
+    /// would be O(peers × pool).
+    export_memo: Vec<FastMap<(u32, u32), Option<AttrId>>>,
     export_hits: u64,
     export_misses: u64,
     /// Import route-map per peer index (`None` = permit all, unchanged).
@@ -133,14 +136,11 @@ pub struct BgpSpeaker {
     /// the standard eBGP transform.
     export_policy: Vec<Option<std::sync::Arc<crate::policy::RouteMap>>>,
     /// Precomputed per peer index: the export map matches on prefix, so
-    /// the export cache must key on the prefix id too.
+    /// the export memo must key on the prefix id too.
     export_prefix_sensitive: Vec<bool>,
-    /// Bumped by [`BgpSpeaker::set_peer_policy`]; part of every
-    /// export-cache key, so a policy swap retires stale entries without a
-    /// scan.
-    policy_epoch: u32,
-    /// Last next-hop set reported per prefix id (empty = absent).
-    fib_view: Vec<Vec<Ipv4Addr>>,
+    /// Last next-hop set reported per prefix id, by the RIB's interned set
+    /// id ([`HopSetId::EMPTY`] = absent).
+    fib_view: Vec<HopSetId>,
     outputs: Vec<SpeakerOutput>,
     started: bool,
     /// Per peer index: earliest instant the next announcement burst may go
@@ -163,9 +163,12 @@ pub struct BgpSpeaker {
     scratch_affected: Vec<PrefixId>,
     scratch_newly_up: Vec<usize>,
     scratch_flush: Vec<PrefixId>,
-    scratch_withdraws: Vec<Ipv4Prefix>,
-    scratch_groups: Vec<(AttrId, Vec<Ipv4Prefix>)>,
-    scratch_group_of: HashMap<u32, usize>,
+    scratch_decided: Vec<Decided>,
+    scratch_withdraws: Vec<PrefixId>,
+    /// Announce groups; a sync uses a prefix of this list and reuses the
+    /// inner buffers of earlier syncs.
+    scratch_groups: Vec<(AttrId, Vec<PrefixId>)>,
+    scratch_group_of: FastMap<u32, usize>,
 }
 
 /// Short FSM-state label for trace events.
@@ -244,13 +247,12 @@ impl BgpSpeaker {
             sessions,
             rib,
             adj_out: vec![Vec::new(); n],
-            export_cache: vec![HashMap::new(); n],
+            export_memo: vec![FastMap::default(); n],
             export_hits: 0,
             export_misses: 0,
             import_policy,
             export_policy,
             export_prefix_sensitive,
-            policy_epoch: 0,
             fib_view: Vec::new(),
             outputs: Vec::new(),
             started: false,
@@ -262,9 +264,10 @@ impl BgpSpeaker {
             scratch_affected: Vec::new(),
             scratch_newly_up: Vec::new(),
             scratch_flush: Vec::new(),
+            scratch_decided: Vec::new(),
             scratch_withdraws: Vec::new(),
             scratch_groups: Vec::new(),
-            scratch_group_of: HashMap::new(),
+            scratch_group_of: FastMap::default(),
         }
     }
 
@@ -435,7 +438,9 @@ impl BgpSpeaker {
                         prefixes: flush.len() as u32,
                     },
                 );
-                self.sync_peer(pi, &flush, now);
+                let decided = self.decide_all(&flush);
+                self.sync_peer(pi, &decided, now);
+                self.scratch_decided = decided;
             }
             self.scratch_flush = flush;
         }
@@ -577,12 +582,14 @@ impl BgpSpeaker {
             }
             self.scratch_events = work;
             if !newly_up.is_empty() {
-                // One read of the persistent live-prefix index serves every
-                // newly established peer.
-                let all = self.rib.live_prefix_ids();
+                // One read of the persistent live-prefix index, and one
+                // decision per live prefix, serve every newly established
+                // peer.
+                let decided = self.decide_all(&self.rib.live_prefix_ids());
                 for pi in newly_up.drain(..) {
-                    self.sync_peer(pi, &all, now);
+                    self.sync_peer(pi, &decided, now);
                 }
+                self.scratch_decided = decided;
             }
             self.scratch_newly_up = newly_up;
             if !affected.is_empty() {
@@ -597,8 +604,29 @@ impl BgpSpeaker {
         }
     }
 
+    /// Reads the current decision of every prefix in `ids` into the
+    /// (recycled) hand-down buffer — for syncs that owe one peer a visit of
+    /// every listed prefix whatever was synced before: a newly established
+    /// session, an MRAI flush.
+    fn decide_all(&mut self, ids: &[PrefixId]) -> Vec<Decided> {
+        let mut decided = std::mem::take(&mut self.scratch_decided);
+        decided.clear();
+        decided.extend(ids.iter().map(|&id| (id, self.rib.decide_id(id))));
+        decided
+    }
+
     /// Recomputes decisions for `ids` (sorted by prefix value): reports FIB
-    /// changes and refreshes every established peer's advertisements.
+    /// changes, and refreshes every established peer's advertisements for
+    /// the prefixes whose exported identity changed.
+    ///
+    /// A prefix whose identity did *not* change is still fanned out while
+    /// any peer holds an announcement of it in `mrai_pending`. That keeps a
+    /// quirk of the hold-down byte for byte: a reconcile arriving after
+    /// `mrai_ready` has passed, but before `poll_timers` ran at that
+    /// instant, finds the peer no longer held, so the visit announces the
+    /// pending prefix early and re-arms the MRAI — the flush that follows
+    /// then has nothing left for it. Skipping the visit would move wire
+    /// timestamps (see "UPDATE fast path" in DESIGN.md).
     fn reconcile(&mut self, ids: &[PrefixId], now: SimTime) {
         // Diff only the two decision counters around the reconcile: a full
         // `rib.stats()` snapshot here costs ~4% wall on the convergence
@@ -610,41 +638,51 @@ impl BgpSpeaker {
         };
         if let Some(&max) = ids.iter().max() {
             if max.index() >= self.fib_view.len() {
-                self.fib_view.resize(max.index() + 1, Vec::new());
+                self.fib_view.resize(max.index() + 1, HopSetId::EMPTY);
             }
         }
-        // 1. FIB-facing next-hop sets — one decision read per prefix; the
-        //    memoized result also serves every peer sync below.
-        for &id in ids {
-            let decision = self.rib.decide_id(id);
-            let slot = &mut self.fib_view[id.index()];
-            let hops: &[Ipv4Addr] = match &decision {
-                Some(d) if d.best.is_local() => {
-                    // Locally originated prefixes are connected routes; the
-                    // data plane already knows them. Report nothing.
-                    slot.clear();
-                    continue;
+        let any_pending = self.mrai_pending.iter().any(|p| !p.is_empty());
+        let mut decided = std::mem::take(&mut self.scratch_decided);
+        decided.clear();
+        {
+            let table = self.rib.prefix_table();
+            for &id in ids {
+                // The one decision read per prefix: it serves the FIB diff
+                // here and, handed down, every peer sync below.
+                let (best, changed) = self.rib.decide_synced(id);
+                if changed || (any_pending && self.mrai_pending.iter().any(|p| p.contains(id.0))) {
+                    decided.push((id, best));
                 }
-                Some(d) => &d.next_hops,
-                None => &[],
-            };
-            // Compare before cloning: the steady-state "nothing changed"
-            // case used to clone the hop set every time.
-            if slot.as_slice() != hops {
-                slot.clear();
-                slot.extend_from_slice(hops);
-                self.outputs.push(SpeakerOutput::RouteChanged {
-                    prefix: self.rib.prefix_value(id),
-                    next_hops: hops.to_vec(),
-                });
+                // FIB-facing next-hop set, compared and stored by id.
+                let slot = &mut self.fib_view[id.index()];
+                let hops = match best {
+                    Some(b) if b.is_local() => {
+                        // Locally originated prefixes are connected routes;
+                        // the data plane already knows them. Report nothing.
+                        *slot = HopSetId::EMPTY;
+                        continue;
+                    }
+                    Some(b) => b.next_hops,
+                    None => HopSetId::EMPTY,
+                };
+                if *slot != hops {
+                    *slot = hops;
+                    self.outputs.push(SpeakerOutput::RouteChanged {
+                        prefix: table.value(id),
+                        next_hops: self.rib.hop_set(hops),
+                    });
+                }
             }
         }
-        // 2. Peer advertisements, in ascending peer-address order.
-        for pi in 0..self.sessions.len() {
-            if self.sessions[pi].is_established() {
-                self.sync_peer(pi, ids, now);
+        // Peer advertisements, in ascending peer-address order.
+        if !decided.is_empty() {
+            for pi in 0..self.sessions.len() {
+                if self.sessions[pi].is_established() {
+                    self.sync_peer(pi, &decided, now);
+                }
             }
         }
+        self.scratch_decided = decided;
         if let Some((decides_before, hits_before)) = counters_before {
             let (decides, hits) = self.rib.decide_counters();
             self.tracer.record(
@@ -657,12 +695,12 @@ impl BgpSpeaker {
         }
     }
 
-    /// Brings a peer's Adj-RIB-Out in line with the current decisions for
-    /// `ids` (sorted by prefix value), emitting batched UPDATEs.
-    /// Withdrawals always go out immediately; announcements respect the
-    /// MRAI hold-down (RFC 4271 §9.2.1.1) and are batched for the flush in
+    /// Brings a peer's Adj-RIB-Out in line with the handed-down decisions
+    /// (sorted by prefix value), emitting batched UPDATEs. Withdrawals
+    /// always go out immediately; announcements respect the MRAI hold-down
+    /// (RFC 4271 §9.2.1.1) and are batched for the flush in
     /// [`BgpSpeaker::poll_timers`].
-    fn sync_peer(&mut self, pi: usize, ids: &[PrefixId], now: SimTime) {
+    fn sync_peer(&mut self, pi: usize, decided: &[Decided], now: SimTime) {
         let mrai = self.config.timers.mrai;
         let held = !mrai.is_zero() && now < self.mrai_ready[pi];
         let mut withdraws = std::mem::take(&mut self.scratch_withdraws);
@@ -670,23 +708,17 @@ impl BgpSpeaker {
         // Announcement batches grouped by interned attr id, in
         // first-occurrence order so the emitted UPDATE sequence is
         // byte-identical to the address-keyed implementation.
-        let mut announces = std::mem::take(&mut self.scratch_groups);
-        announces.clear();
+        let mut groups = std::mem::take(&mut self.scratch_groups);
+        let mut used = 0;
         let mut group_of = std::mem::take(&mut self.scratch_group_of);
         group_of.clear();
-        for &id in ids {
-            let desired = match self.rib.decide_id(id) {
-                Some(d) => self.export_route(pi, id, &d),
-                None => None,
-            };
+        for &(id, best) in decided {
+            let desired = best.and_then(|b| self.export_route(pi, id, &b));
             let row = &mut self.adj_out[pi];
-            if id.index() >= row.len() {
-                row.resize(id.index() + 1, NO_ATTR);
-            }
-            let current = row[id.index()];
+            let current = row.get(id.index()).copied().unwrap_or(NO_ATTR);
             match desired {
                 None if current != NO_ATTR => {
-                    withdraws.push(self.rib.prefix_value(id));
+                    withdraws.push(id);
                     row[id.index()] = NO_ATTR;
                     // A pending announcement for a now-withdrawn prefix is
                     // obsolete.
@@ -698,56 +730,67 @@ impl BgpSpeaker {
                         continue;
                     }
                     let raw = want.index();
-                    match group_of.get(&raw) {
-                        Some(&g) => announces[g].1.push(self.rib.prefix_value(id)),
-                        None => {
-                            group_of.insert(raw, announces.len());
-                            announces.push((want, vec![self.rib.prefix_value(id)]));
+                    let g = *group_of.entry(raw).or_insert_with(|| {
+                        if used == groups.len() {
+                            groups.push((want, Vec::new()));
+                        } else {
+                            groups[used].0 = want;
+                            groups[used].1.clear();
                         }
+                        used += 1;
+                        used - 1
+                    });
+                    groups[g].1.push(id);
+                    if id.index() >= row.len() {
+                        row.resize(id.index() + 1, NO_ATTR);
                     }
-                    self.adj_out[pi][id.index()] = raw;
+                    row[id.index()] = raw;
                 }
                 _ => {}
             }
         }
-        let sent_announcements = !announces.is_empty();
-        if !withdraws.is_empty() {
-            self.tracer.record(
-                now,
-                TraceData::BgpTx {
-                    peer: u32::from(self.peer_addrs[pi]),
-                    announced: 0,
-                    withdrawn: withdraws.len() as u32,
-                },
-            );
-            self.sessions[pi].send_update(UpdateMsg {
-                withdrawn: std::mem::take(&mut withdraws),
-                attrs: None,
-                nlri: vec![],
-            });
+        if !withdraws.is_empty() || used > 0 {
+            // One table read turns every id of this sync back into its
+            // prefix, straight into the UPDATEs' own vectors.
+            let table = self.rib.prefix_table();
+            let peer = u32::from(self.peer_addrs[pi]);
+            if !withdraws.is_empty() {
+                self.tracer.record(
+                    now,
+                    TraceData::BgpTx {
+                        peer,
+                        announced: 0,
+                        withdrawn: withdraws.len() as u32,
+                    },
+                );
+                self.sessions[pi].send_update(UpdateMsg {
+                    withdrawn: withdraws.iter().map(|&id| table.value(id)).collect(),
+                    attrs: None,
+                    nlri: vec![],
+                });
+            }
+            for (attr, ids) in &groups[..used] {
+                self.tracer.record(
+                    now,
+                    TraceData::BgpTx {
+                        peer,
+                        announced: ids.len() as u32,
+                        withdrawn: 0,
+                    },
+                );
+                self.sessions[pi].send_update(UpdateMsg {
+                    withdrawn: vec![],
+                    // The UPDATE shares the store's canonical allocation.
+                    attrs: Some(self.rib.attrs_of(*attr)),
+                    nlri: ids.iter().map(|&id| table.value(id)).collect(),
+                });
+            }
         }
-        for (attr, nlri) in announces.drain(..) {
-            // The UPDATE shares the store's canonical allocation.
-            let attrs = self.rib.attrs_of(attr);
-            self.tracer.record(
-                now,
-                TraceData::BgpTx {
-                    peer: u32::from(self.peer_addrs[pi]),
-                    announced: nlri.len() as u32,
-                    withdrawn: 0,
-                },
-            );
-            self.sessions[pi].send_update(UpdateMsg {
-                withdrawn: vec![],
-                attrs: Some(attrs),
-                nlri,
-            });
-        }
-        if sent_announcements && !mrai.is_zero() {
+        if used > 0 && !mrai.is_zero() {
             self.mrai_ready[pi] = now + mrai;
         }
         self.scratch_withdraws = withdraws;
-        self.scratch_groups = announces;
+        self.scratch_groups = groups;
         self.scratch_group_of = group_of;
     }
 
@@ -759,9 +802,9 @@ impl BgpSpeaker {
     /// communities, `prepend` adds extra own-AS copies, `med` survives the
     /// strip (the sender deliberately signals the neighbor), `local_pref`
     /// is ignored (never sent over eBGP). The transform (everything past
-    /// split horizon) is memoized per `(peer, AttrId, prefix?, epoch)`.
-    fn export_route(&mut self, pi: usize, id: PrefixId, decision: &Decision) -> Option<AttrId> {
-        if decision.best.peer == self.peer_addrs[pi] {
+    /// split horizon) is memoized per `(peer, AttrId, prefix?)`.
+    fn export_route(&mut self, pi: usize, id: PrefixId, best: &BestPath) -> Option<AttrId> {
+        if best.peer == self.peer_addrs[pi] {
             return None; // split horizon
         }
         let pfx_key = if self.export_prefix_sensitive[pi] {
@@ -769,18 +812,19 @@ impl BgpSpeaker {
         } else {
             0
         };
-        let key = (decision.best.attr_id.index(), pfx_key, self.policy_epoch);
-        if let Some(cached) = self.export_cache[pi].get(&key) {
+        let key = (best.attr_id.index(), pfx_key);
+        if let Some(cached) = self.export_memo[pi].get(&key) {
             self.export_hits += 1;
             return *cached;
         }
         self.export_misses += 1;
         let cfg = &self.sessions[pi].config;
         let (remote_as, local_addr) = (cfg.remote_as, cfg.local_addr);
+        let attrs = self.rib.attrs_of(best.attr_id);
         // Sending a path containing the peer's AS would be rejected by its
         // loop check anyway; suppress it to save messages (common policy).
         let exported = 'exp: {
-            if decision.best.attrs.contains_asn(remote_as) {
+            if attrs.contains_asn(remote_as) {
                 break 'exp None;
             }
             // The route-map matches against the Loc-RIB attributes
@@ -790,7 +834,7 @@ impl BgpSpeaker {
                 Some(map) => {
                     use crate::policy::PolicyAction;
                     let prefix = self.rib.prefix_value(id);
-                    match map.first_match(prefix, &decision.best.attrs) {
+                    match map.first_match(prefix, &attrs) {
                         Some(i) if map.clauses[i].action == PolicyAction::Permit => {
                             Some(&map.clauses[i].set)
                         }
@@ -799,7 +843,7 @@ impl BgpSpeaker {
                     }
                 }
             };
-            let mut out = (*decision.best.attrs).clone();
+            let mut out = (*attrs).clone();
             if let Some(set) = set {
                 if !set.del_communities.is_empty() {
                     out.communities.retain(|c| !set.del_communities.contains(c));
@@ -810,24 +854,28 @@ impl BgpSpeaker {
                     out.communities.dedup();
                 }
             }
-            out = out.prepended(self.config.asn);
-            for _ in 0..set.map_or(0, |s| s.prepend) {
-                out = out.prepended(self.config.asn);
+            // Own AS once, plus the policy's extra copies.
+            for _ in 0..=set.map_or(0, |s| s.prepend) {
+                out.prepend(self.config.asn);
             }
             out.next_hop = local_addr;
             out.local_pref = None;
             out.med = set.and_then(|s| s.med);
             Some(self.rib.intern_attrs(out))
         };
-        self.export_cache[pi].insert(key, exported);
+        self.export_memo[pi].insert(key, exported);
         exported
     }
 
     /// Swaps the import/export route-maps for `peer` at runtime. Takes
     /// effect for routes received or exported from now on: already-interned
-    /// candidates are not retroactively re-imported (a real router requires
-    /// a route refresh for that too), and the policy epoch bump retires
-    /// every memoized export transform so the next reconcile re-evaluates.
+    /// candidates are not retroactively re-imported, and advertisements
+    /// already sent stay as they are until their prefix is next reconciled
+    /// or the session re-syncs (a real router requires a route refresh for
+    /// both too). Everything memoized under the old policy is dropped here:
+    /// the peer's export memo, and every prefix's synced identity — the
+    /// same best path may now export differently, so the next reconcile of
+    /// any prefix must visit the peers again.
     pub fn set_peer_policy(&mut self, peer: Ipv4Addr, policy: crate::policy::PeerPolicy) {
         let Some(pi) = self.peer_idx(peer) else {
             return;
@@ -839,10 +887,8 @@ impl BgpSpeaker {
             .is_some_and(|m| m.prefix_sensitive());
         self.export_policy[pi] = policy.export.clone();
         self.config.policies.insert(peer, policy);
-        self.policy_epoch += 1;
-        // Adj-RIB-Out entries were computed under the old epoch; mark every
-        // peer's rows dirty by clearing nothing — the next reconcile over
-        // affected ids re-runs export_route, which now misses the cache.
+        self.export_memo[pi].clear();
+        self.rib.reset_synced();
         self.deadline_dirty = true;
     }
 }
@@ -1334,6 +1380,108 @@ mod tests {
         );
     }
 
+    /// r1 and r4 both feed r2; r2 (with `mrai_secs` of MRAI) feeds r3. r1's
+    /// address at r2 is lower than r4's, so on a tie r1's path stays best.
+    fn square(mrai_secs: u64, r1_networks: Vec<&str>) -> Harness {
+        let r1 = speaker(
+            65001,
+            [1, 1, 1, 1],
+            vec![(addr(12, 2), addr(12, 1), 65002)],
+            r1_networks,
+        );
+        let r2 = speaker_mrai(
+            65002,
+            [2, 2, 2, 2],
+            vec![
+                (addr(12, 1), addr(12, 2), 65001),
+                (addr(23, 3), addr(23, 2), 65003),
+                (addr(24, 4), addr(24, 2), 65004),
+            ],
+            vec![],
+            mrai_secs,
+        );
+        let r3 = speaker(
+            65003,
+            [3, 3, 3, 3],
+            vec![(addr(23, 2), addr(23, 3), 65002)],
+            vec![],
+        );
+        let r4 = speaker(
+            65004,
+            [4, 4, 4, 4],
+            vec![(addr(24, 2), addr(24, 4), 65002)],
+            vec![],
+        );
+        let mut h = Harness::new(vec![r1, r2, r3, r4]);
+        h.start(SimTime::ZERO);
+        h
+    }
+
+    #[test]
+    fn best_unchanged_reconcile_still_visits_a_peer_holding_the_prefix_pending() {
+        let mut h = square(5, vec!["10.1.0.0/16"]);
+        let p2: Ipv4Prefix = "10.42.0.0/16".parse().unwrap();
+        let to_r3 = h.speakers[1].peer_idx(addr(23, 3)).unwrap();
+        // t=1: r1 originates p2. r2 learns it, but its MRAI toward r3 was
+        // armed by the initial burst at t=0, so the announcement is held.
+        h.speakers[0].originate(p2, SimTime::from_secs(1));
+        h.run(SimTime::from_secs(1));
+        let id = h.speakers[1].rib().prefix_id(p2).unwrap();
+        assert!(h.speakers[1].mrai_pending[to_r3].contains(id.0));
+        assert_eq!(h.speakers[1].mrai_ready[to_r3], SimTime::from_secs(5));
+        assert!(h.speakers[2].rib().decide(p2).is_none(), "held by MRAI");
+        // t=6: the hold-down toward r3 has expired, but nobody polled r2's
+        // timers. r4 originates p2 as well: at r2 that ties with r1's path,
+        // and r1 (lower peer address) stays best — the exported identity
+        // does not change. The reconcile must visit r3 regardless: r3 is no
+        // longer held, so the pending announcement goes out now and the
+        // MRAI re-arms. Dropping the `mrai_pending` guard from `reconcile`
+        // fails the assertions below.
+        let best_before = h.speakers[1].rib().decide(p2).unwrap().best;
+        h.speakers[3].originate(p2, SimTime::from_secs(6));
+        h.run(SimTime::from_secs(6));
+        let d = h.speakers[1].rib().decide(p2).unwrap();
+        assert_eq!(d.best, best_before, "best path (attr, peer) unchanged");
+        assert_eq!(d.multipath.len(), 2, "r4's path joined the ECMP set");
+        assert!(
+            h.speakers[2].rib().decide(p2).is_some(),
+            "the pending announcement went out with the best-unchanged reconcile"
+        );
+        assert_eq!(
+            h.speakers[1].mrai_ready[to_r3],
+            SimTime::from_secs(11),
+            "and re-armed the hold-down"
+        );
+        // The pending bit itself stays set until the flush at t=11, which
+        // will find r3's Adj-RIB-Out already current.
+        assert!(h.speakers[1].mrai_pending[to_r3].contains(id.0));
+    }
+
+    #[test]
+    fn best_unchanged_reconcile_skips_the_peer_fan_out() {
+        // Without MRAI: a second, tying path for a prefix changes r2's FIB
+        // but not what it tells r3, and must cost r2 no export work at all.
+        let p: Ipv4Prefix = "10.42.0.0/16".parse().unwrap();
+        let mut h = square(0, vec!["10.42.0.0/16"]);
+        let before = h.speakers[1].rib_stats();
+        let sent = h.speakers[1].msgs_sent();
+        h.speakers[3].originate(p, SimTime::from_secs(1));
+        h.run(SimTime::from_secs(1));
+        let after = h.speakers[1].rib_stats();
+        assert_eq!(
+            h.fib_of(1).get(&p).map(Vec::len),
+            Some(2),
+            "the FIB still learns the second next hop"
+        );
+        assert_eq!(
+            (after.export_cache_hits, after.export_cache_misses),
+            (before.export_cache_hits, before.export_cache_misses),
+            "no peer was visited"
+        );
+        assert_eq!(after.decide_calls, before.decide_calls + 1, "one decision");
+        assert_eq!(h.speakers[1].msgs_sent(), sent, "nothing to say");
+    }
+
     #[test]
     fn export_cache_batches_shared_attrs_and_keeps_withdrawal_bypass() {
         // r1 -- r2 -- r3; r2 enforces a 5 s MRAI toward its peers. Two
@@ -1813,7 +1961,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_swap_bumps_epoch_and_takes_effect_on_resync() {
+    fn policy_swap_clears_the_export_memo_and_takes_effect_on_resync() {
         let a = speaker(
             64512,
             [1, 1, 1, 1],
@@ -1832,7 +1980,7 @@ mod tests {
         assert!(h.fib_of(1).contains_key(&prefix));
         // Install a deny-all export map on A, then flap the session so the
         // full table is re-synced under the new policy. The old permit was
-        // memoized under epoch 0; the epoch bump retires it.
+        // memoized; the swap clears the peer's memo.
         h.speakers[0].set_peer_policy(
             addr4(10, 9, 1, 2),
             PeerPolicy {
@@ -1851,5 +1999,87 @@ mod tests {
             !h.fib_of(1).contains_key(&prefix),
             "deny-all export must suppress the route after resync"
         );
+        // Swapping back and forth must not strand one memo generation per
+        // swap: each swap clears the peer's memo, and the re-sync refills it
+        // with the one entry this table needs.
+        let permit = PeerPolicy {
+            import: None,
+            export: Some(Arc::new(RouteMap::permit_all())),
+        };
+        let deny = PeerPolicy {
+            import: None,
+            export: Some(Arc::new(RouteMap::new(vec![RouteMapClause::deny_any()]))),
+        };
+        for round in 0..8u64 {
+            let policy = if round % 2 == 0 { &permit } else { &deny };
+            h.speakers[0].set_peer_policy(addr4(10, 9, 1, 2), policy.clone());
+            assert!(h.speakers[0].export_memo[0].is_empty(), "swap clears");
+            let t = SimTime::from_secs(1 + round);
+            h.speakers[0].on_transport_down(addr4(10, 9, 1, 2), t);
+            h.speakers[1].on_transport_down(addr4(10, 9, 1, 1), t);
+            h.run(t);
+            h.speakers[0].on_transport_up(addr4(10, 9, 1, 2), t);
+            h.speakers[1].on_transport_up(addr4(10, 9, 1, 1), t);
+            h.run(t);
+            assert_eq!(
+                h.fib_of(1).contains_key(&prefix),
+                round % 2 == 0,
+                "round {round}: the installed policy decides"
+            );
+            assert_eq!(h.speakers[0].export_memo[0].len(), 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn policy_swap_revisits_peers_on_the_next_reconcile() {
+        // No session flap here: after a swap, a reconcile whose best path
+        // did not change must still re-export (the synced identities were
+        // reset), so the new policy reaches the wire.
+        let a = speaker(
+            64512,
+            [1, 1, 1, 1],
+            vec![
+                (addr4(10, 9, 1, 2), addr4(10, 9, 1, 1), 64513),
+                (addr4(10, 9, 2, 2), addr4(10, 9, 2, 1), 64514),
+            ],
+            vec![],
+        );
+        let b = speaker(
+            64513,
+            [2, 2, 2, 2],
+            vec![(addr4(10, 9, 1, 1), addr4(10, 9, 1, 2), 64512)],
+            vec![],
+        );
+        let c = speaker(
+            64514,
+            [3, 3, 3, 3],
+            vec![(addr4(10, 9, 2, 1), addr4(10, 9, 2, 2), 64512)],
+            vec!["21.3.0.0/16"],
+        );
+        let mut h = Harness::new(vec![a, b, c]);
+        h.start(SimTime::ZERO);
+        let prefix: Ipv4Prefix = "21.3.0.0/16".parse().unwrap();
+        assert!(h.fib_of(1).contains_key(&prefix), "B learned it through A");
+        h.speakers[0].set_peer_policy(
+            addr4(10, 9, 1, 2),
+            PeerPolicy {
+                import: None,
+                export: Some(Arc::new(RouteMap::new(vec![RouteMapClause::deny_any()]))),
+            },
+        );
+        // C re-originates the same network: at A an identical announcement
+        // would not even reach reconcile, so withdraw and re-announce — the
+        // second reconcile lands on the very identity synced before the
+        // swap.
+        let t = SimTime::from_secs(1);
+        h.speakers[2].withdraw(prefix, t);
+        h.run(t);
+        h.speakers[2].originate(prefix, t);
+        h.run(t);
+        assert!(
+            !h.fib_of(1).contains_key(&prefix),
+            "the deny-all export took effect without a session reset"
+        );
+        assert!(h.speakers[0].rib().decide(prefix).is_some());
     }
 }

@@ -23,7 +23,7 @@
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use horse_dataplane::fib::{NextHop, RouteEntry, RouteOrigin};
+use horse_dataplane::fib::{Fib, NextHop, RouteEntry, RouteOrigin};
 use horse_dataplane::path::DataPlane;
 use horse_net::addr::Ipv4Prefix;
 use horse_net::topology::{NodeId, PortId};
@@ -140,6 +140,63 @@ pub struct FibInstaller {
     addr_to_port: BTreeMap<NodeId, BTreeMap<Ipv4Addr, PortId>>,
     /// Count of installs/removals applied (observability).
     pub installs: u64,
+    /// Resolved next hops of the route being applied (reused buffer).
+    scratch_hops: Vec<NextHop>,
+}
+
+/// One router's FIB and neighbor map, resolved once by
+/// [`FibInstaller::for_node`].
+#[derive(Debug)]
+pub struct NodeInstaller<'a> {
+    fib: &'a mut Fib,
+    ports: Option<&'a BTreeMap<Ipv4Addr, PortId>>,
+    installs: &'a mut u64,
+    hops: &'a mut Vec<NextHop>,
+}
+
+impl NodeInstaller<'_> {
+    /// Applies a route change: installs the (multipath) route, or removes
+    /// the prefix when `next_hops` is empty. Next hops with no known port
+    /// (e.g. a neighbor on a link that was never registered) are skipped;
+    /// if none remain, the prefix is removed. Returns true if the FIB
+    /// changed; only those count as installs — a redundant re-announcement
+    /// of the installed route is a no-op and allocates nothing.
+    pub fn apply(&mut self, prefix: Ipv4Prefix, next_hops: &[Ipv4Addr]) -> bool {
+        self.hops.clear();
+        if let Some(ports) = self.ports {
+            self.hops.extend(next_hops.iter().filter_map(|gw| {
+                ports.get(gw).map(|port| NextHop {
+                    port: *port,
+                    gateway: *gw,
+                })
+            }));
+        }
+        // `RouteEntry::new`'s canonical form, so the buffer compares equal
+        // to an installed entry built from the same hops and can become
+        // the new entry as it is.
+        self.hops.sort();
+        self.hops.dedup();
+        let changed = if self.hops.is_empty() {
+            self.fib.remove(prefix).is_some()
+        } else if self
+            .fib
+            .get(prefix)
+            .is_some_and(|e| e.origin == RouteOrigin::Bgp && e.next_hops == *self.hops)
+        {
+            false
+        } else {
+            let entry = RouteEntry {
+                next_hops: self.hops.clone(),
+                origin: RouteOrigin::Bgp,
+            };
+            self.fib.insert(prefix, entry);
+            true
+        };
+        if changed {
+            *self.installs += 1;
+        }
+        changed
+    }
 }
 
 impl FibInstaller {
@@ -153,11 +210,25 @@ impl FibInstaller {
         self.addr_to_port.insert(node, map);
     }
 
-    /// Applies a route change reported by `node`'s routing daemon: installs
-    /// the (multipath) route, or removes the prefix when `next_hops` is
-    /// empty. Next hops with no known port (e.g. a neighbor on a link that
-    /// was never registered) are skipped; if none remain, the prefix is
-    /// removed. Returns true if the FIB changed.
+    /// Resolves `node`'s FIB and neighbor map once, for applying a batch of
+    /// route changes from one drain of its routing daemon. `None` when the
+    /// node is not a router.
+    pub fn for_node<'a>(
+        &'a mut self,
+        dp: &'a mut DataPlane,
+        node: NodeId,
+    ) -> Option<NodeInstaller<'a>> {
+        Some(NodeInstaller {
+            fib: dp.fib_mut(node)?,
+            ports: self.addr_to_port.get(&node),
+            installs: &mut self.installs,
+            hops: &mut self.scratch_hops,
+        })
+    }
+
+    /// Applies one route change reported by `node`'s routing daemon — see
+    /// [`NodeInstaller::apply`]. Callers with several changes from the same
+    /// node should hold a [`FibInstaller::for_node`] instead.
     pub fn apply(
         &mut self,
         dp: &mut DataPlane,
@@ -165,31 +236,8 @@ impl FibInstaller {
         prefix: Ipv4Prefix,
         next_hops: &[Ipv4Addr],
     ) -> bool {
-        let Some(fib) = dp.fib_mut(node) else {
-            return false;
-        };
-        let map = self.addr_to_port.get(&node);
-        let hops: Vec<NextHop> = next_hops
-            .iter()
-            .filter_map(|gw| {
-                map.and_then(|m| m.get(gw)).map(|port| NextHop {
-                    port: *port,
-                    gateway: *gw,
-                })
-            })
-            .collect();
-        let changed = if hops.is_empty() {
-            fib.remove(prefix).is_some()
-        } else {
-            let entry = RouteEntry::new(hops, RouteOrigin::Bgp);
-            fib.insert(prefix, entry.clone()) != Some(entry)
-        };
-        // Only actual FIB mutations count; redundant re-announcements of
-        // the same route are a no-op.
-        if changed {
-            self.installs += 1;
-        }
-        changed
+        self.for_node(dp, node)
+            .is_some_and(|mut n| n.apply(prefix, next_hops))
     }
 
     /// Installs a connected route (host-facing subnet) on a router.
@@ -319,6 +367,47 @@ mod tests {
         // and the redundant withdrawal below must not count.
         assert!(!inst.apply(&mut dp, r, prefix, &[]));
         assert_eq!(inst.installs, 2, "installs == actual FIB mutations");
+    }
+
+    #[test]
+    fn node_installer_applies_a_batch_and_replaces_other_origins() {
+        let mut dp = DataPlane::new();
+        let r = NodeId(0);
+        dp.add_router(r, HashMode::SrcDst);
+        let mut inst = FibInstaller::new();
+        let (gw1, gw2) = (Ipv4Addr::new(172, 16, 0, 2), Ipv4Addr::new(172, 16, 0, 6));
+        inst.register(r, BTreeMap::from([(gw1, PortId(1)), (gw2, PortId(2))]));
+        let p1: Ipv4Prefix = "10.1.0.0/16".parse().unwrap();
+        let p2: Ipv4Prefix = "10.2.0.0/16".parse().unwrap();
+        // A connected route through the very port BGP will pick: same hops,
+        // other origin — BGP's install must still replace it.
+        let connected = NextHop {
+            port: PortId(1),
+            gateway: gw1,
+        };
+        dp.fib_mut(r)
+            .unwrap()
+            .insert(p2, RouteEntry::new(vec![connected], RouteOrigin::Connected));
+        {
+            let mut routes = inst.for_node(&mut dp, r).expect("a router");
+            // Unsorted, duplicated input lands in canonical form.
+            assert!(routes.apply(p1, &[gw2, gw1, gw2]));
+            assert!(!routes.apply(p1, &[gw1, gw2]), "same set, no change");
+            assert!(routes.apply(p2, &[gw1]), "origin moved to BGP");
+            assert!(!routes.apply(p2, &[gw1]));
+        }
+        assert_eq!(inst.installs, 2);
+        let fib = dp.fib(r).unwrap();
+        let ports: Vec<PortId> = fib
+            .get(p1)
+            .unwrap()
+            .next_hops
+            .iter()
+            .map(|h| h.port)
+            .collect();
+        assert_eq!(ports, vec![PortId(1), PortId(2)]);
+        assert_eq!(fib.get(p2).unwrap().origin, RouteOrigin::Bgp);
+        assert!(inst.for_node(&mut dp, NodeId(9)).is_none(), "not a router");
     }
 
     #[test]

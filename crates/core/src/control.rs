@@ -671,6 +671,9 @@ impl BgpControl {
                     }
                 }
             }
+            // The node's FIB and neighbor map, resolved once for however
+            // many routes this drain changed.
+            let mut routes = self.installer.for_node(dp, node);
             for o in outputs {
                 match o {
                     SpeakerOutput::SendBytes { peer, bytes } => {
@@ -685,7 +688,7 @@ impl BgpControl {
                     }
                     SpeakerOutput::RouteChanged { prefix, next_hops } => {
                         out.activity = true;
-                        if self.installer.apply(dp, node, prefix, &next_hops) {
+                        if routes.as_mut().is_some_and(|r| r.apply(prefix, &next_hops)) {
                             out.tables_changed = true;
                             self.installs += 1;
                         }

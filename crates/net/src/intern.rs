@@ -15,6 +15,9 @@
 //!   a hash map (value → id) plus a dense table (id → value).
 //! * [`IdSet`] — a growable bitset over ids with an exact element count,
 //!   for membership state like per-peer Adj-RIB-In indexes.
+//! * [`FastHasher`] / [`FastMap`] — the one fixed-seed, word-at-a-time
+//!   hasher every internal id table uses (see its docs for why a fixed
+//!   seed is acceptable here).
 //!
 //! Ids deliberately do **not** order like their values (they order by first
 //! appearance). Consumers that must iterate in value order — every
@@ -23,8 +26,103 @@
 
 use crate::addr::Ipv4Prefix;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::net::Ipv4Addr;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
+
+/// Fixed-seed folded-multiply hasher for the simulator's internal tables
+/// (interners, the attribute store, export memos): one xor and one widening
+/// multiply per 8-byte word instead of SipHash's rounds per byte block.
+///
+/// A fixed seed gives up `RandomState`'s protection against keys crafted
+/// to collide. That is acceptable for these tables because every key is
+/// produced by this process: prefixes, peer addresses and path attributes
+/// are parsed from bytes this run's own speakers encoded, never from the
+/// outside. It must not be used for a table keyed by external input.
+/// Nothing may depend on a map's iteration order under this hasher any more
+/// than under `RandomState`; every determinism-sensitive consumer sorts.
+#[derive(Debug, Clone, Copy)]
+pub struct FastHasher(u64);
+
+/// Odd multiplier with well-mixed bits (the `rustc-hash` constant).
+const FAST_K: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl Default for FastHasher {
+    /// The fixed seed (digits of pi): non-zero, so a zero first word does
+    /// not multiply to zero.
+    fn default() -> Self {
+        FastHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl FastHasher {
+    /// Folds the 128-bit product back to 64 bits, so the high half — where
+    /// a multiply leaves its entropy — also reaches the low bits the std
+    /// map indexes buckets with (keys with zero low bits, `10.x.0.0/16`,
+    /// would otherwise pile into a few buckets).
+    #[inline]
+    fn add(&mut self, word: u64) {
+        let wide = u128::from(self.0 ^ word) * u128::from(FAST_K);
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+}
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.add(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` on [`FastHasher`].
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// The [`FastHasher`] hash of one value — for tables that hash a large key
+/// once and carry the value through probe, re-probe and insert.
+pub fn fast_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut h = FastHasher::default();
+    value.hash(&mut h);
+    h.finish()
+}
 
 /// Stable id of an interned [`Ipv4Prefix`] (first-intern order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,26 +149,32 @@ impl PeerId {
 /// Interner for [`Ipv4Prefix`] keys.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixInterner {
-    ids: HashMap<Ipv4Prefix, PrefixId>,
+    /// Keyed by [`prefix_key`]: one word to hash instead of a struct.
+    ids: FastMap<u64, PrefixId>,
     values: Vec<Ipv4Prefix>,
+}
+
+/// `(network << 8) | len` — injective, and ordered exactly like
+/// `Ipv4Prefix`'s `Ord` (network first, then length).
+fn prefix_key(p: Ipv4Prefix) -> u64 {
+    (u64::from(u32::from(p.network())) << 8) | u64::from(p.len())
 }
 
 impl PrefixInterner {
     /// Interns `p`, returning its stable id (allocating one on first
     /// sight).
     pub fn intern(&mut self, p: Ipv4Prefix) -> PrefixId {
-        if let Some(&id) = self.ids.get(&p) {
-            return id;
+        let next = PrefixId(self.values.len() as u32);
+        let id = *self.ids.entry(prefix_key(p)).or_insert(next);
+        if id == next {
+            self.values.push(p);
         }
-        let id = PrefixId(self.values.len() as u32);
-        self.ids.insert(p, id);
-        self.values.push(p);
         id
     }
 
     /// The id of `p`, if it has ever been interned.
     pub fn get(&self, p: Ipv4Prefix) -> Option<PrefixId> {
-        self.ids.get(&p).copied()
+        self.ids.get(&prefix_key(p)).copied()
     }
 
     /// The value behind an id.
@@ -91,8 +195,7 @@ impl PrefixInterner {
     /// A `u64` key that orders exactly like `Ipv4Prefix`'s `Ord`
     /// (network first, then length): `(network << 8) | len`.
     pub fn sort_key(&self, id: PrefixId) -> u64 {
-        let p = self.values[id.index()];
-        (u64::from(u32::from(p.network())) << 8) | u64::from(p.len())
+        prefix_key(self.values[id.index()])
     }
 
     /// Sorts (and dedups) an id slice into ascending **value** order — the
@@ -128,50 +231,67 @@ impl PrefixPool {
         PrefixPool::default()
     }
 
+    /// Read access to the table — one lock acquisition for a whole batch
+    /// of lookups. Hold it briefly and never across a call that may intern
+    /// (a waiting writer blocks further readers on this thread too).
+    pub fn read(&self) -> RwLockReadGuard<'_, PrefixInterner> {
+        self.0.read().expect("prefix pool lock poisoned")
+    }
+
     /// Interns `p`: a read-locked probe on the hot (already-seeded) path,
     /// falling back to the write lock for a genuinely new prefix.
     pub fn intern(&self, p: Ipv4Prefix) -> PrefixId {
-        if let Some(id) = self.0.read().expect("prefix pool lock poisoned").get(p) {
+        if let Some(id) = self.read().get(p) {
             return id;
         }
         self.0.write().expect("prefix pool lock poisoned").intern(p)
     }
 
+    /// Interns every prefix of `ps` in order, appending the ids to `out`.
+    /// One read guard serves the whole slice; the write lock is taken only
+    /// from the first genuinely new prefix on.
+    pub fn intern_all(&self, ps: &[Ipv4Prefix], out: &mut Vec<PrefixId>) {
+        let known = {
+            let table = self.read();
+            let before = out.len();
+            out.extend(ps.iter().map_while(|p| table.get(*p)));
+            out.len() - before
+        };
+        if known < ps.len() {
+            let mut table = self.0.write().expect("prefix pool lock poisoned");
+            out.extend(ps[known..].iter().map(|p| table.intern(*p)));
+        }
+    }
+
     /// The id of `p`, if it has ever been interned.
     pub fn get(&self, p: Ipv4Prefix) -> Option<PrefixId> {
-        self.0.read().expect("prefix pool lock poisoned").get(p)
+        self.read().get(p)
     }
 
     /// The value behind an id.
     pub fn value(&self, id: PrefixId) -> Ipv4Prefix {
-        self.0.read().expect("prefix pool lock poisoned").value(id)
+        self.read().value(id)
     }
 
     /// Number of distinct prefixes interned (monotone — also the peak).
     pub fn len(&self) -> usize {
-        self.0.read().expect("prefix pool lock poisoned").len()
+        self.read().len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.0.read().expect("prefix pool lock poisoned").is_empty()
+        self.read().is_empty()
     }
 
     /// See [`PrefixInterner::sort_key`].
     pub fn sort_key(&self, id: PrefixId) -> u64 {
-        self.0
-            .read()
-            .expect("prefix pool lock poisoned")
-            .sort_key(id)
+        self.read().sort_key(id)
     }
 
     /// Sorts (and dedups) an id slice into ascending value order, taking
     /// the read lock once for the whole sort rather than per comparison.
     pub fn sort_by_value(&self, ids: &mut Vec<PrefixId>) {
-        self.0
-            .read()
-            .expect("prefix pool lock poisoned")
-            .sort_by_value(ids);
+        self.read().sort_by_value(ids);
     }
 
     /// True when `other` is the same underlying table.
@@ -183,25 +303,25 @@ impl PrefixPool {
 /// Interner for peer addresses.
 #[derive(Debug, Clone, Default)]
 pub struct PeerInterner {
-    ids: HashMap<Ipv4Addr, PeerId>,
+    /// Keyed by `u32::from(address)`: one word to hash.
+    ids: FastMap<u32, PeerId>,
     values: Vec<Ipv4Addr>,
 }
 
 impl PeerInterner {
     /// Interns `a`, returning its stable id.
     pub fn intern(&mut self, a: Ipv4Addr) -> PeerId {
-        if let Some(&id) = self.ids.get(&a) {
-            return id;
+        let next = PeerId(self.values.len() as u32);
+        let id = *self.ids.entry(u32::from(a)).or_insert(next);
+        if id == next {
+            self.values.push(a);
         }
-        let id = PeerId(self.values.len() as u32);
-        self.ids.insert(a, id);
-        self.values.push(a);
         id
     }
 
     /// The id of `a`, if it has ever been interned.
     pub fn get(&self, a: Ipv4Addr) -> Option<PeerId> {
-        self.ids.get(&a).copied()
+        self.ids.get(&u32::from(a)).copied()
     }
 
     /// The value behind an id.
@@ -391,6 +511,49 @@ mod tests {
         let mut ids = vec![a, b, a];
         pool.sort_by_value(&mut ids);
         assert_eq!(ids, vec![b, a], "value order with dedup, like the interner");
+    }
+
+    #[test]
+    fn intern_all_matches_one_by_one_and_takes_new_prefixes() {
+        let pool = PrefixPool::new();
+        let seeded = pool.intern(pfx("10.2.0.0/16"));
+        let mut ids = vec![PrefixId(99)];
+        // Known, new, known-again, new: the write path starts at the first
+        // miss and must still resolve the later known prefix to its old id.
+        pool.intern_all(
+            &[
+                pfx("10.2.0.0/16"),
+                pfx("10.1.0.0/16"),
+                pfx("10.2.0.0/16"),
+                pfx("10.3.0.0/16"),
+            ],
+            &mut ids,
+        );
+        assert_eq!(
+            ids,
+            vec![PrefixId(99), seeded, PrefixId(1), seeded, PrefixId(2)],
+            "appends, in order, first-intern ids"
+        );
+        assert_eq!(pool.len(), 3);
+        assert_eq!(pool.read().value(PrefixId(2)), pfx("10.3.0.0/16"));
+    }
+
+    #[test]
+    fn fast_hasher_is_fixed_and_spreads_aligned_keys() {
+        // Same value, same hash, in any process: no per-map random state.
+        assert_eq!(fast_hash(&42u32), fast_hash(&42u32));
+        assert_ne!(fast_hash(&42u32), fast_hash(&43u32));
+        assert_eq!(fast_hash("as-path"), fast_hash("as-path"));
+        // Byte input is consumed a word at a time with a zero-padded tail;
+        // the slice length prefix keeps different lengths apart.
+        assert_ne!(fast_hash(&[1u8][..]), fast_hash(&[1u8, 0][..]));
+        assert_ne!(fast_hash(&[0u8; 8][..]), fast_hash(&[0u8; 9][..]));
+        // Keys whose low 16 bits are all zero (10.x.0.0/16 networks) must
+        // still spread over the low bits the std map indexes buckets with.
+        let low: std::collections::BTreeSet<u64> = (0..256u64)
+            .map(|x| fast_hash(&((0x0a00_0000 | (x << 16)) << 8 | 16)) & 0xff)
+            .collect();
+        assert!(low.len() > 140, "only {} of 256 low bytes used", low.len());
     }
 
     #[test]

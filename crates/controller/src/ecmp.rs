@@ -83,10 +83,13 @@ impl EcmpApp {
             return None;
         }
         let choice = self.hasher.select(tuple, paths.len());
-        for (dpid, fm) in
-            self.fabric
-                .rules_along(src, &paths[choice], tuple, self.priority, self.idle_timeout)
-        {
+        for (dpid, fm) in self.fabric.rules_along(
+            src,
+            &paths.path(choice),
+            tuple,
+            self.priority,
+            self.idle_timeout,
+        ) {
             ctx.flow_mod(dpid, fm);
         }
         self.placed.insert(*tuple, choice);

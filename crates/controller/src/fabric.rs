@@ -9,8 +9,54 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Cached equal-cost shortest path sets, keyed by host pair.
-type PathCache = std::cell::RefCell<BTreeMap<(NodeId, NodeId), Vec<Vec<LinkId>>>>;
+/// Cached equal-cost shortest path sets, keyed by the pair of switches the
+/// two hosts attach to: every host pair behind the same two switches shares
+/// one set (at most edge² entries, against one per host pair seen).
+type PathCache = std::cell::RefCell<BTreeMap<(NodeId, NodeId), Arc<[Vec<LinkId>]>>>;
+
+/// The equal-cost shortest paths between two hosts, in
+/// [`Topology::all_shortest_paths`] order: a shared switch-to-switch set
+/// with the source's uplink and the destination's downlink around each
+/// member, put together only for the path asked for.
+#[derive(Debug, Clone)]
+pub struct PathSet {
+    /// `(uplink, downlink)` around every path of `core`; `None` when `core`
+    /// already runs host to host.
+    wrap: Option<(LinkId, LinkId)>,
+    core: Arc<[Vec<LinkId>]>,
+}
+
+impl PathSet {
+    /// Number of equal-cost paths.
+    pub fn len(&self) -> usize {
+        self.core.len()
+    }
+
+    /// True when the hosts are partitioned.
+    pub fn is_empty(&self) -> bool {
+        self.core.is_empty()
+    }
+
+    /// The `i`-th path as a link sequence from the source host.
+    pub fn path(&self, i: usize) -> Vec<LinkId> {
+        let core = &self.core[i];
+        match self.wrap {
+            Some((up, down)) => {
+                let mut path = Vec::with_capacity(core.len() + 2);
+                path.push(up);
+                path.extend_from_slice(core);
+                path.push(down);
+                path
+            }
+            None => core.clone(),
+        }
+    }
+
+    /// Every path, in order.
+    pub fn to_vec(&self) -> Vec<Vec<LinkId>> {
+        (0..self.len()).map(|i| self.path(i)).collect()
+    }
+}
 
 /// The fabric as the controller sees it. The topology is shared via
 /// [`Arc`] (one fat-tree serves every run of a sweep); link-state updates
@@ -22,7 +68,7 @@ pub struct FabricView {
     node_of_dpid: BTreeMap<u64, NodeId>,
     dpid_of_node: BTreeMap<NodeId, u64>,
     host_of_ip: BTreeMap<Ipv4Addr, NodeId>,
-    /// Cache of shortest path sets between host pairs.
+    /// Cache of shortest path sets between attachment switches.
     path_cache: PathCache,
 }
 
@@ -108,17 +154,53 @@ impl FabricView {
         Some(lid)
     }
 
-    /// All equal-cost shortest paths between two hosts (cached; the fabric
-    /// is static during an experiment).
-    pub fn paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<LinkId>> {
-        if let Some(p) = self.path_cache.borrow().get(&(src, dst)) {
-            return p.clone();
+    /// The one up link of a single-homed node and the node behind it.
+    fn attachment(&self, host: NodeId) -> Option<(LinkId, NodeId)> {
+        if self.topo.node(host).port_count() != 1 {
+            return None;
         }
-        let paths = self.topo.all_shortest_paths(src, dst);
-        self.path_cache
-            .borrow_mut()
-            .insert((src, dst), paths.clone());
-        paths
+        let lid = self.topo.link_at(host, PortId(0))?;
+        let link = self.topo.link(lid);
+        link.up.then(|| (lid, link.other(host)))
+    }
+
+    /// All equal-cost shortest paths between two hosts, in the order
+    /// [`Topology::all_shortest_paths`] lists them (every hash choice over
+    /// the set depends on it).
+    ///
+    /// A single-homed host reaches everything through its one link, so the
+    /// set is the switch-to-switch set with that link on either end — and
+    /// the backward walk that orders the paths visits the same nodes in the
+    /// same port order whether it starts at the destination host or at its
+    /// switch. Those sets are cached (until the next link-state change).
+    /// Multi-homed hosts, hosts whose link is down, and host-to-host links
+    /// take the direct search.
+    pub fn paths(&self, src: NodeId, dst: NodeId) -> PathSet {
+        let (up, src_sw, down, dst_sw) = match (self.attachment(src), self.attachment(dst)) {
+            // One link at both ends: a host with itself, or two hosts
+            // wired to each other.
+            (Some((up, src_sw)), Some((down, dst_sw))) if up != down => (up, src_sw, down, dst_sw),
+            _ => return self.searched(src, dst),
+        };
+        let cached = self.path_cache.borrow().get(&(src_sw, dst_sw)).cloned();
+        let core = cached.unwrap_or_else(|| {
+            let core: Arc<[Vec<LinkId>]> = self.topo.all_shortest_paths(src_sw, dst_sw).into();
+            self.path_cache
+                .borrow_mut()
+                .insert((src_sw, dst_sw), Arc::clone(&core));
+            core
+        });
+        PathSet {
+            wrap: Some((up, down)),
+            core,
+        }
+    }
+
+    fn searched(&self, src: NodeId, dst: NodeId) -> PathSet {
+        PathSet {
+            wrap: None,
+            core: self.topo.all_shortest_paths(src, dst).into(),
+        }
     }
 
     /// Synthesizes the exact-match FLOW_MODs pinning `tuple` along `path`
@@ -199,19 +281,80 @@ mod tests {
         assert_eq!(f.edge_dpids().len(), 2);
     }
 
+    /// `paths` must list exactly what the direct search lists, in its
+    /// order, for every ordered pair of `hosts` (a host with itself
+    /// included).
+    fn assert_paths_match_search(f: &FabricView, hosts: &[NodeId], when: &str) {
+        for a in hosts {
+            for b in hosts {
+                assert_eq!(
+                    f.paths(*a, *b).to_vec(),
+                    f.topo().all_shortest_paths(*a, *b),
+                    "{when}: {a} -> {b}"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn paths_cached_and_correct() {
-        let (f, a, b) = square();
-        let p1 = f.paths(a, b);
-        assert_eq!(p1.len(), 2);
-        let p2 = f.paths(a, b);
-        assert_eq!(p1, p2);
+    fn paths_equal_the_direct_search_on_a_fat_tree_through_a_flap() {
+        let ft = horse_topo::fattree::FatTree::build(
+            4,
+            horse_topo::fattree::SwitchRole::OpenFlow,
+            1e9,
+            1_000,
+        );
+        let mut f = FabricView::new(Arc::clone(&ft.topo));
+        assert_paths_match_search(&f, &ft.hosts, "intact");
+        assert_eq!(f.paths(ft.hosts[0], ft.hosts[15]).len(), 4);
+        assert!(
+            f.path_cache.borrow().len() <= ft.edges.len() * ft.edges.len(),
+            "one set per edge-switch pair, not per host pair"
+        );
+        // An agg–core link (fewer equal-cost paths), then a host's only
+        // link (the direct search finds nothing), each down and back up.
+        let (core_link, _) = ft.topo.link_between(ft.aggs[0], ft.cores[0]).unwrap();
+        let host_link = ft.topo.link_at(ft.hosts[3], PortId(0)).unwrap();
+        for lid in [core_link, host_link] {
+            let ep = f.topo().link(lid).a;
+            assert_eq!(f.set_link_state(ep.node, ep.port, false), Some(lid));
+            assert_paths_match_search(&f, &ft.hosts, "link down");
+            assert_eq!(f.set_link_state(ep.node, ep.port, true), Some(lid));
+            assert_paths_match_search(&f, &ft.hosts, "link back up");
+        }
+        assert_eq!(f.paths(ft.hosts[0], ft.hosts[15]).len(), 4);
+    }
+
+    #[test]
+    fn paths_equal_the_direct_search_between_multi_homed_hosts() {
+        let (mut f, a, b) = square();
+        assert_eq!(f.paths(a, b).len(), 2);
+        assert_paths_match_search(&f, &[a, b], "intact");
+        let x = f.topo().find("x").unwrap();
+        let (_, port) = f.topo().link_between(x, b).unwrap();
+        f.set_link_state(x, port, false);
+        assert_eq!(f.paths(a, b).len(), 1);
+        assert_paths_match_search(&f, &[a, b], "x-b down");
+        f.set_link_state(x, port, true);
+        assert_paths_match_search(&f, &[a, b], "x-b back up");
+    }
+
+    #[test]
+    fn directly_linked_hosts_take_the_direct_search() {
+        let mut t = Topology::new();
+        let sn: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
+        let a = t.add_host("a", Ipv4Addr::new(10, 0, 0, 1), sn);
+        let b = t.add_host("b", Ipv4Addr::new(10, 0, 0, 2), sn);
+        let (lid, _, _) = t.add_link(a, b, 1e9, 0);
+        let f = FabricView::new(t);
+        assert_eq!(f.paths(a, b).to_vec(), vec![vec![lid]]);
+        assert_paths_match_search(&f, &[a, b], "two hosts, one link");
     }
 
     #[test]
     fn rules_cover_switches_on_path() {
         let (f, a, b) = square();
-        let path = &f.paths(a, b)[0];
+        let path = &f.paths(a, b).path(0);
         let tuple = FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 1), 1, Ipv4Addr::new(10, 0, 0, 2), 2);
         let rules = f.rules_along(a, path, &tuple, 100, 0);
         // Path: a → switch → b. Only the switch gets a rule (hosts have no
@@ -225,7 +368,7 @@ mod tests {
     #[test]
     fn broken_path_yields_no_rules() {
         let (f, a, b) = square();
-        let path = f.paths(a, b)[0].clone();
+        let path = f.paths(a, b).path(0);
         // Start the walk at the wrong node.
         let rules = f.rules_along(
             b,

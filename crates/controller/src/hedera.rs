@@ -129,7 +129,7 @@ impl HederaApp {
             inputs.push(PlacementInput {
                 tuple: *tuple,
                 demand_bps: d.demand * self.cfg.nic_bps,
-                paths,
+                paths: paths.to_vec(),
                 current,
             });
         }
@@ -290,7 +290,7 @@ mod tests {
         let src = fabric.host_of(tuple.src_ip).unwrap();
         let dst = fabric.host_of(tuple.dst_ip).unwrap();
         let idx = app.placement()[tuple];
-        let path = &fabric.paths(src, dst)[idx];
+        let path = &fabric.paths(src, dst).path(idx);
         fabric.topo().path_nodes(src, path).unwrap()[2]
     }
 

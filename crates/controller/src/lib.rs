@@ -26,6 +26,6 @@ pub mod placement;
 
 pub use demand::{estimate_demands, FlowDemand};
 pub use ecmp::EcmpApp;
-pub use fabric::FabricView;
+pub use fabric::{FabricView, PathSet};
 pub use hedera::{HederaApp, HederaConfig};
 pub use placement::{place_flows, PlacementAlgo, PlacementInput};

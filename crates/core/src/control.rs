@@ -1060,7 +1060,7 @@ impl SdnControl {
             return (false, false);
         };
         self.stats.table_scans += 1;
-        if table.entries().iter().any(|e| !e.idle_timeout.is_zero()) {
+        if table.has_timed_entries() && table.entries().iter().any(|e| !e.idle_timeout.is_zero()) {
             // The fluid model's flow index stands in for per-packet
             // counters: an entry whose 5-tuple maps to a flow that is
             // actually moving bits counts as recently hit.
@@ -1076,10 +1076,7 @@ impl SdnControl {
                 if fluid.rate_of(fid).unwrap_or(0.0) <= 0.0 {
                     continue;
                 }
-                let key = FlowKey::ipv4(None, tuple);
-                if let Some(e) = table.lookup_mut(&key) {
-                    e.last_hit = now;
-                }
+                table.touch(&FlowKey::ipv4(None, tuple), now);
             }
         }
         let expired = table.expire(now);
@@ -1147,14 +1144,10 @@ impl SdnControl {
             let Some(table) = dp.table_mut(*node) else {
                 continue;
             };
-            let Some(e) = table.lookup_mut(&key) else {
-                continue;
-            };
-            if e.idle_timeout.is_zero() {
-                continue;
+            // Permanent rules have no idle timer to credit.
+            if table.touch(&key, now) {
+                self.reindex_expiry(*node, dp);
             }
-            e.last_hit = now;
-            self.reindex_expiry(*node, dp);
         }
     }
 

@@ -21,7 +21,7 @@ use crate::experiment::{LinkEvent, TrafficEvent};
 use crate::report::ExperimentReport;
 use horse_dataplane::path::{DataPlane, ResolveError};
 use horse_net::addr::MacAddr;
-use horse_net::flow::{FlowId, FlowSpec};
+use horse_net::flow::FlowId;
 use horse_net::fluid::{Dirty, FluidNetwork};
 use horse_net::packet::Packet;
 use horse_net::topology::{NodeId, Topology};
@@ -91,11 +91,10 @@ pub struct Runner {
     /// echoed into the report's `pump_run_threads`.
     run_threads: usize,
 
-    /// Traffic events waiting for a route / rules, as a dense slab keyed
-    /// by traffic index (ascending-index iteration matches the old
-    /// `BTreeMap<usize, _>` order exactly).
-    pending: Vec<Option<FlowSpec>>,
-    pending_count: usize,
+    /// Traffic indices waiting for a route / rules, ascending: the
+    /// reactions to a table change walk the waiting flows, not the
+    /// traffic list.
+    pending: BTreeSet<usize>,
     /// Switches already sent a PACKET_IN for each traffic index (tiny
     /// per-flow lists — a flow's first packet misses at most a handful of
     /// hops before rules land).
@@ -104,8 +103,8 @@ pub struct Runner {
     active_by_idx: Vec<Option<FlowId>>,
     active_count: usize,
     /// Traffic index per flow slot (`FlowId` values are dense u32s, never
-    /// reused), grown on demand; ascending-slot iteration matches the old
-    /// `BTreeMap<FlowId, _>` order exactly.
+    /// reused), grown on demand. Look-up only: the live flows are walked
+    /// through the fluid model's active set.
     idx_by_flow: Vec<Option<usize>>,
     completion_event: Option<(EventId, FlowId)>,
     ctrl_event: Option<(SimTime, EventId)>,
@@ -160,8 +159,7 @@ impl Runner {
             sample_interval,
             label,
             run_threads: 1,
-            pending: vec![None; n],
-            pending_count: 0,
+            pending: BTreeSet::new(),
             miss_sent: vec![Vec::new(); n],
             active_by_idx: vec![None; n],
             active_count: 0,
@@ -236,27 +234,6 @@ impl Runner {
     }
 
     // ---- dense flow-bookkeeping slabs --------------------------------
-
-    fn pending_insert(&mut self, idx: usize, spec: FlowSpec) {
-        if self.pending[idx].replace(spec).is_none() {
-            self.pending_count += 1;
-        }
-    }
-
-    fn pending_remove(&mut self, idx: usize) {
-        if self.pending[idx].take().is_some() {
-            self.pending_count -= 1;
-        }
-    }
-
-    /// Pending (idx, spec) pairs in ascending traffic-index order.
-    fn pending_snapshot(&self) -> Vec<(usize, FlowSpec)> {
-        self.pending
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|s| (i, s)))
-            .collect()
-    }
 
     fn activate(&mut self, idx: usize, fid: FlowId) {
         if self.active_by_idx[idx].replace(fid).is_none() {
@@ -369,8 +346,7 @@ impl Runner {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::FlowStart(idx) => {
-                let spec = self.traffic[idx].spec;
-                self.try_start_flow(now, idx, spec);
+                self.try_start_flow(now, idx);
                 self.flush_fluid(now);
             }
             Ev::FlowStop(idx) => {
@@ -380,7 +356,7 @@ impl Runner {
                     self.resync_completion(now);
                     self.sample(now);
                 }
-                self.pending_remove(idx);
+                self.pending.remove(&idx);
             }
             Ev::Completion(fid) => {
                 // May be stale (rates changed since scheduling); re-check.
@@ -437,14 +413,10 @@ impl Runner {
             Ev::Retry => {
                 self.retry_scheduled = false;
                 // A fresh "first packet" may be punted again.
-                for idx in 0..self.pending.len() {
-                    if self.pending[idx].is_some() {
-                        self.miss_sent[idx].clear();
-                    }
+                for idx in &self.pending {
+                    self.miss_sent[*idx].clear();
                 }
-                for (idx, spec) in self.pending_snapshot() {
-                    self.try_start_flow(now, idx, spec);
-                }
+                self.retry_pending(now);
                 self.flush_fluid(now);
                 self.ensure_retry(now);
             }
@@ -487,7 +459,7 @@ impl Runner {
 
     /// Keeps a retry event scheduled while any flow is unrouted.
     fn ensure_retry(&mut self, now: SimTime) {
-        if self.pending_count > 0 && !self.retry_scheduled {
+        if !self.pending.is_empty() && !self.retry_scheduled {
             let at = (now + RETRY_INTERVAL).min(self.horizon);
             if at > now {
                 self.queue.push(at, Ev::Retry);
@@ -496,16 +468,17 @@ impl Runner {
         }
     }
 
-    fn try_start_flow(&mut self, now: SimTime, idx: usize, spec: FlowSpec) {
+    fn try_start_flow(&mut self, now: SimTime, idx: usize) {
+        let spec = self.traffic[idx].spec;
         match self.dp.resolve(&self.topo, spec.src, spec.dst, &spec.tuple) {
             Ok(path) => {
                 // Deferred: the caller runs one fluid solve for the whole
                 // burst of starts/reroutes via [`Runner::flush_fluid`].
                 match self.fluid.start_deferred(now, spec, path, &self.topo) {
                     Ok(fid) => {
-                        self.pending_remove(idx);
+                        self.pending.remove(&idx);
                         self.activate(idx, fid);
-                        if self.pending_count == 0
+                        if self.pending.is_empty()
                             && self.all_routed_at.is_none()
                             && self.active_count + self.completions.len() >= self.traffic.len()
                         {
@@ -513,12 +486,12 @@ impl Runner {
                         }
                     }
                     Err(_) => {
-                        self.pending_insert(idx, spec);
+                        self.pending.insert(idx);
                     }
                 }
             }
             Err(ResolveError::TableMiss { node, in_port }) => {
-                self.pending_insert(idx, spec);
+                self.pending.insert(idx);
                 // Synthesize the flow's first packet and punt it — this is
                 // the "control plane packets are actually sent to the data
                 // plane" path of the paper's SDN mode.
@@ -539,32 +512,32 @@ impl Runner {
             }
             Err(_) => {
                 // No route yet (BGP still converging), link down, …: park.
-                self.pending_insert(idx, spec);
+                self.pending.insert(idx);
             }
         }
         self.ensure_retry(now);
+    }
+
+    /// Attempts every waiting flow again, in ascending traffic-index
+    /// order (an attempt may take the flow off the list or leave it on).
+    fn retry_pending(&mut self, now: SimTime) {
+        let waiting: Vec<usize> = self.pending.iter().copied().collect();
+        for idx in waiting {
+            self.try_start_flow(now, idx);
+        }
     }
 
     /// Forwarding state changed: retry pending flows, re-path active ones.
     /// All starts and reroutes triggered by one control burst are deferred
     /// into a single scoped fluid solve.
     fn on_tables_changed(&mut self, now: SimTime) {
-        for (idx, spec) in self.pending_snapshot() {
-            self.try_start_flow(now, idx, spec);
-        }
-        // Ascending flow-slot order == ascending FlowId order (slots are
-        // never reused), matching the former `BTreeMap<FlowId, _>` walk.
-        let active: Vec<(FlowId, FlowSpec)> = self
-            .idx_by_flow
-            .iter()
-            .enumerate()
-            .filter(|(_, idx)| idx.is_some())
-            .filter_map(|(slot, _)| {
-                let fid = FlowId(slot as u64);
-                self.fluid.spec(fid).map(|s| (fid, *s))
-            })
-            .collect();
-        for (fid, spec) in active {
+        self.retry_pending(now);
+        // Every flow the runner started and has not retired is active in
+        // the fluid model, and nothing else is; its active set lists them
+        // in ascending `FlowId` order.
+        let active: Vec<FlowId> = self.fluid.flow_ids().collect();
+        for fid in active {
+            let spec = *self.fluid.spec(fid).expect("listed as active");
             if let Ok(path) = self.dp.resolve(&self.topo, spec.src, spec.dst, &spec.tuple) {
                 if self.fluid.path(fid) != Some(path.as_slice()) {
                     let _ = self.fluid.reroute_deferred(now, fid, path, &self.topo);
@@ -613,10 +586,9 @@ impl Runner {
         // fraction. (The demo's goodput graph is the headline; these series
         // explain *why* — hash collisions show up as max_link_util pinned
         // at 1.0 while the mean stays low.)
-        let loads = self.fluid.all_link_loads();
         let mut max_util = 0.0f64;
         let mut total_util = 0.0f64;
-        for (dlink, load) in &loads {
+        for (dlink, load) in self.fluid.link_loads() {
             let link = self.topo.link(dlink.link);
             if !link.up {
                 continue;

@@ -31,7 +31,7 @@
 //!   times with lazy invalidation instead of rescanning every bounded
 //!   flow; the historical `(time, FlowId-value)` tie-break is preserved
 //!   exactly by heap order.
-//! - [`FluidNetwork::all_link_loads`] / [`FluidNetwork::flows_on_link`]
+//! - [`FluidNetwork::link_loads`] / [`FluidNetwork::flows_on_link`]
 //!   are served from the maintained membership index.
 //!
 //! [`FluidNetwork::recompute_scoped`] partitions its seeds into
@@ -791,24 +791,22 @@ impl FluidNetwork {
         (sum_dir(true), sum_dir(false))
     }
 
-    /// Load on every directed link with members, served from the
-    /// membership index — O(links × members) instead of a rescan of every
-    /// flow's path. Member lists are id-sorted, so each link's float
-    /// accumulation order (and the `BTreeMap` key order) is byte-identical
-    /// to the historical flow-id-ordered scan. Used by samplers.
-    pub fn all_link_loads(&self) -> BTreeMap<DirLink, f64> {
-        let mut loads: BTreeMap<DirLink, f64> = BTreeMap::new();
-        for (di, members) in self.link_members.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let mut sum = 0.0;
-            for &slot in members {
-                sum += self.rate_bps[slot as usize];
-            }
-            loads.insert(undlid(di), sum);
-        }
-        loads
+    /// Load on every directed link with members, in ascending
+    /// [`DirLink`] order, folded straight from the membership index.
+    /// Member lists are id-sorted, so each link's float accumulation order
+    /// is that of the historical flow-id-ordered scan. Used by samplers.
+    pub fn link_loads(&self) -> impl Iterator<Item = (DirLink, f64)> + '_ {
+        self.link_members
+            .iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(di, members)| {
+                let mut sum = 0.0;
+                for &slot in members {
+                    sum += self.rate_bps[slot as usize];
+                }
+                (undlid(di), sum)
+            })
     }
 
     /// Flows (with current rates) traversing `link` in either direction,

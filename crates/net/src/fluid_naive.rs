@@ -450,17 +450,6 @@ impl NaiveFluidNetwork {
         (fwd, rev)
     }
 
-    /// Load on every directed link in one pass over the flows.
-    pub fn all_link_loads(&self) -> BTreeMap<DirLink, f64> {
-        let mut loads: BTreeMap<DirLink, f64> = BTreeMap::new();
-        for f in self.flows.values() {
-            for d in &f.dlinks {
-                *loads.entry(*d).or_default() += f.rate_bps;
-            }
-        }
-        loads
-    }
-
     /// Flows (with current rates) traversing `link` in either direction,
     /// in id order.
     pub fn flows_on_link(&self, link: LinkId) -> Vec<(FlowId, f64)> {

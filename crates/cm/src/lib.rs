@@ -23,7 +23,7 @@
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use horse_dataplane::fib::{Fib, NextHop, RouteEntry, RouteOrigin};
+use horse_dataplane::fib::{EntryId, Fib, NextHop, RouteEntry, RouteOrigin};
 use horse_dataplane::path::DataPlane;
 use horse_net::addr::Ipv4Prefix;
 use horse_net::topology::{NodeId, PortId};
@@ -138,20 +138,27 @@ pub fn pipe(probe: &ActivityProbe) -> (PipeEndpoint, PipeEndpoint) {
 #[derive(Debug, Clone, Default)]
 pub struct FibInstaller {
     addr_to_port: BTreeMap<NodeId, BTreeMap<Ipv4Addr, PortId>>,
-    /// Count of installs/removals applied (observability).
-    pub installs: u64,
-    /// Resolved next hops of the route being applied (reused buffer).
+    /// Buffers of the hop set a [`NodeInstaller`] is holding (reused).
+    scratch_gateways: Vec<Ipv4Addr>,
     scratch_hops: Vec<NextHop>,
 }
 
 /// One router's FIB and neighbor map, resolved once by
-/// [`FibInstaller::for_node`].
+/// [`FibInstaller::for_node`], plus the last next-hop set translated: a
+/// daemon that moves a burst of prefixes onto the same next hops pays the
+/// address → port look-ups, the sort and the intern once per burst.
 #[derive(Debug)]
 pub struct NodeInstaller<'a> {
     fib: &'a mut Fib,
     ports: Option<&'a BTreeMap<Ipv4Addr, PortId>>,
-    installs: &'a mut u64,
+    /// The next-hop set translated last (empty when the drain begins: no
+    /// hops, no entry).
+    gateways: &'a mut Vec<Ipv4Addr>,
     hops: &'a mut Vec<NextHop>,
+    /// What `gateways` became: an entry of the node's FIB, with one
+    /// reference held until the next translation or the end of the drain —
+    /// or `None` when no hop had a known port, and the prefix is removed.
+    entry: Option<EntryId>,
 }
 
 impl NodeInstaller<'_> {
@@ -159,9 +166,22 @@ impl NodeInstaller<'_> {
     /// the prefix when `next_hops` is empty. Next hops with no known port
     /// (e.g. a neighbor on a link that was never registered) are skipped;
     /// if none remain, the prefix is removed. Returns true if the FIB
-    /// changed; only those count as installs — a redundant re-announcement
-    /// of the installed route is a no-op and allocates nothing.
+    /// changed — a redundant re-announcement of the installed route is a
+    /// no-op and allocates nothing.
     pub fn apply(&mut self, prefix: Ipv4Prefix, next_hops: &[Ipv4Addr]) -> bool {
+        if self.gateways != next_hops {
+            self.translate(next_hops);
+        }
+        match self.entry {
+            Some(id) => self.fib.install(prefix, id),
+            None => self.fib.remove(prefix).is_some(),
+        }
+    }
+
+    fn translate(&mut self, next_hops: &[Ipv4Addr]) {
+        self.forget();
+        self.gateways.clear();
+        self.gateways.extend_from_slice(next_hops);
         self.hops.clear();
         if let Some(ports) = self.ports {
             self.hops.extend(next_hops.iter().filter_map(|gw| {
@@ -171,31 +191,26 @@ impl NodeInstaller<'_> {
                 })
             }));
         }
-        // `RouteEntry::new`'s canonical form, so the buffer compares equal
-        // to an installed entry built from the same hops and can become
-        // the new entry as it is.
-        self.hops.sort();
-        self.hops.dedup();
-        let changed = if self.hops.is_empty() {
-            self.fib.remove(prefix).is_some()
-        } else if self
-            .fib
-            .get(prefix)
-            .is_some_and(|e| e.origin == RouteOrigin::Bgp && e.next_hops == *self.hops)
-        {
-            false
-        } else {
-            let entry = RouteEntry {
-                next_hops: self.hops.clone(),
-                origin: RouteOrigin::Bgp,
-            };
-            self.fib.insert(prefix, entry);
-            true
-        };
-        if changed {
-            *self.installs += 1;
+        if !self.hops.is_empty() {
+            // `RouteEntry::new` sorts and dedups; the buffer comes back
+            // below, so a burst allocates only for a hop set new to the FIB.
+            let entry = RouteEntry::new(std::mem::take(self.hops), RouteOrigin::Bgp);
+            self.entry = Some(self.fib.intern(&entry));
+            *self.hops = entry.next_hops;
         }
-        changed
+    }
+
+    /// Gives back the reference held on the last translated entry.
+    fn forget(&mut self) {
+        if let Some(id) = self.entry.take() {
+            self.fib.release(id);
+        }
+    }
+}
+
+impl Drop for NodeInstaller<'_> {
+    fn drop(&mut self) {
+        self.forget();
     }
 }
 
@@ -218,11 +233,13 @@ impl FibInstaller {
         dp: &'a mut DataPlane,
         node: NodeId,
     ) -> Option<NodeInstaller<'a>> {
+        self.scratch_gateways.clear();
         Some(NodeInstaller {
             fib: dp.fib_mut(node)?,
             ports: self.addr_to_port.get(&node),
-            installs: &mut self.installs,
+            gateways: &mut self.scratch_gateways,
             hops: &mut self.scratch_hops,
+            entry: None,
         })
     }
 
@@ -241,7 +258,7 @@ impl FibInstaller {
     }
 
     /// Installs a connected route (host-facing subnet) on a router.
-    /// Returns true if the FIB changed; mutations count as installs.
+    /// Returns true if the FIB changed.
     pub fn install_connected(
         &mut self,
         dp: &mut DataPlane,
@@ -252,17 +269,13 @@ impl FibInstaller {
         let Some(fib) = dp.fib_mut(node) else {
             return false;
         };
-        let entry = RouteEntry::new(
-            vec![NextHop {
-                port,
-                gateway: Ipv4Addr::UNSPECIFIED,
-            }],
-            RouteOrigin::Connected,
-        );
-        let changed = fib.insert(prefix, entry.clone()) != Some(entry);
-        if changed {
-            self.installs += 1;
-        }
+        let hop = NextHop {
+            port,
+            gateway: Ipv4Addr::UNSPECIFIED,
+        };
+        let id = fib.intern(&RouteEntry::new(vec![hop], RouteOrigin::Connected));
+        let changed = fib.install(prefix, id);
+        fib.release(id);
         changed
     }
 }
@@ -363,10 +376,8 @@ mod tests {
             .unwrap()
             .lookup(Ipv4Addr::new(10, 9, 1, 1))
             .is_none());
-        // Install + withdrawal mutated the FIB; the idempotent re-install
-        // and the redundant withdrawal below must not count.
+        // A redundant withdrawal is no change either.
         assert!(!inst.apply(&mut dp, r, prefix, &[]));
-        assert_eq!(inst.installs, 2, "installs == actual FIB mutations");
     }
 
     #[test]
@@ -396,7 +407,6 @@ mod tests {
             assert!(routes.apply(p2, &[gw1]), "origin moved to BGP");
             assert!(!routes.apply(p2, &[gw1]));
         }
-        assert_eq!(inst.installs, 2);
         let fib = dp.fib(r).unwrap();
         let ports: Vec<PortId> = fib
             .get(p1)
@@ -411,20 +421,56 @@ mod tests {
     }
 
     #[test]
-    fn connected_routes_count_as_installs() {
+    fn a_drain_holds_its_last_hop_set_and_lets_go_when_it_ends() {
+        let mut dp = DataPlane::new();
+        let r = NodeId(0);
+        dp.add_router(r, HashMode::SrcDst);
+        let mut inst = FibInstaller::new();
+        let (gw1, gw2) = (Ipv4Addr::new(172, 16, 0, 2), Ipv4Addr::new(172, 16, 0, 6));
+        inst.register(r, BTreeMap::from([(gw1, PortId(1)), (gw2, PortId(2))]));
+        let prefixes: Vec<Ipv4Prefix> = (0..50u8)
+            .map(|i| Ipv4Prefix::new(Ipv4Addr::new(10, i, 0, 0), 16))
+            .collect();
+        {
+            let mut routes = inst.for_node(&mut dp, r).expect("a router");
+            for p in &prefixes {
+                assert!(routes.apply(*p, &[gw1]));
+            }
+            // The burst moves on: every prefix leaves the first hop set,
+            // whose entry goes with the last of them.
+            for p in &prefixes {
+                assert!(routes.apply(*p, &[gw2]));
+                assert!(!routes.apply(*p, &[gw2]));
+            }
+            // An unusable hop set in between withdraws and holds nothing.
+            assert!(routes.apply(prefixes[0], &[Ipv4Addr::new(9, 9, 9, 9)]));
+            assert!(routes.apply(prefixes[0], &[gw2]));
+        }
+        let fib = dp.fib(r).unwrap();
+        assert_eq!(fib.len(), 50);
+        assert_eq!(fib.interned_entries(), 1);
+        assert_eq!(fib.get(prefixes[7]).unwrap().next_hops[0].port, PortId(2));
+        // Withdrawing everything frees the entry: the drain above kept no
+        // reference of its own.
+        for p in &prefixes {
+            assert!(inst.apply(&mut dp, r, *p, &[]));
+        }
+        assert_eq!(dp.fib(r).unwrap().interned_entries(), 0);
+    }
+
+    #[test]
+    fn connected_routes_report_changes_only() {
         let mut dp = DataPlane::new();
         let r = NodeId(0);
         dp.add_router(r, HashMode::SrcDst);
         let mut inst = FibInstaller::new();
         let prefix: Ipv4Prefix = "10.1.0.0/24".parse().unwrap();
         assert!(inst.install_connected(&mut dp, r, prefix, PortId(3)));
-        assert_eq!(inst.installs, 1);
         // Re-installing the identical connected route is a no-op.
         assert!(!inst.install_connected(&mut dp, r, prefix, PortId(3)));
-        assert_eq!(inst.installs, 1);
         // Moving it to a different port is a mutation.
         assert!(inst.install_connected(&mut dp, r, prefix, PortId(4)));
-        assert_eq!(inst.installs, 2);
+        assert_eq!(dp.fib(r).unwrap().interned_entries(), 1, "old entry freed");
     }
 
     #[test]

@@ -80,8 +80,6 @@ const PAR_MIN_NODES: usize = 4;
 pub struct PumpOutcome {
     /// Any control-plane message moved or state changed (→ FTI).
     pub activity: bool,
-    /// Forwarding state changed (→ re-resolve flows).
-    pub tables_changed: bool,
 }
 
 /// How the Connection Manager schedules per-node pump work.
@@ -276,6 +274,17 @@ impl ControlPlane {
         }
     }
 
+    /// The nodes whose forwarding state (FIB or flow table) the last
+    /// [`ControlPlane::pump`] wrote — empty when it wrote none. Flows whose
+    /// path crosses none of them resolve exactly as before.
+    pub fn take_changed(&mut self) -> Vec<NodeId> {
+        match self {
+            ControlPlane::None => Vec::new(),
+            ControlPlane::Bgp(b) => std::mem::take(&mut b.changed),
+            ControlPlane::Sdn(s) => std::mem::take(&mut s.changed),
+        }
+    }
+
     /// Earliest pending control-plane timer (keepalives, Hedera polls,
     /// flow-rule expiries) — the DES clock must not jump past it.
     pub fn next_deadline(&self) -> Option<SimTime> {
@@ -384,8 +393,10 @@ pub struct BgpControl {
     mode: PumpMode,
     /// Pump cost counters.
     pub stats: PumpStats,
-    /// FIB route installs performed.
+    /// BGP route changes that altered a FIB (the report's `table_writes`).
     pub installs: u64,
+    /// Routers whose FIB the last pump changed, ascending.
+    changed: Vec<NodeId>,
     /// Structured trace sink for pump-level events (per-node pump reasons,
     /// link changes).
     tracer: Tracer,
@@ -488,6 +499,7 @@ impl BgpControl {
             mode: PumpMode::default(),
             stats: PumpStats::default(),
             installs: 0,
+            changed: Vec::new(),
             tracer: Tracer::default(),
             attr_pool,
             prefix_pool,
@@ -528,8 +540,8 @@ impl BgpControl {
 
     fn start(&mut self, now: SimTime, dp: &mut DataPlane) {
         // Connected (host-facing) routes exist before BGP does.
-        for (node, pfx, port) in self.connected.clone() {
-            self.installer.install_connected(dp, node, pfx, port);
+        for (node, pfx, port) in &self.connected {
+            self.installer.install_connected(dp, *node, *pfx, *port);
         }
         for s in self.speakers.values_mut() {
             s.start(now);
@@ -564,6 +576,7 @@ impl BgpControl {
     fn pump(&mut self, now: SimTime, dp: &mut DataPlane) -> PumpOutcome {
         self.stats.steps += 1;
         self.stats.nodes_total += self.speakers.len() as u64;
+        self.changed.clear();
         let mut out = PumpOutcome::default();
         // 1. Ready set: last step's message destinations, fired deadlines,
         // and nodes woken by transport/link events.
@@ -674,6 +687,7 @@ impl BgpControl {
             // The node's FIB and neighbor map, resolved once for however
             // many routes this drain changed.
             let mut routes = self.installer.for_node(dp, node);
+            let installs_before = self.installs;
             for o in outputs {
                 match o {
                     SpeakerOutput::SendBytes { peer, bytes } => {
@@ -689,7 +703,6 @@ impl BgpControl {
                     SpeakerOutput::RouteChanged { prefix, next_hops } => {
                         out.activity = true;
                         if routes.as_mut().is_some_and(|r| r.apply(prefix, &next_hops)) {
-                            out.tables_changed = true;
                             self.installs += 1;
                         }
                     }
@@ -697,6 +710,9 @@ impl BgpControl {
                         out.activity = true;
                     }
                 }
+            }
+            if self.installs != installs_before {
+                self.changed.push(node);
             }
         }
         out
@@ -795,6 +811,9 @@ pub struct SdnControl {
     pub stats: PumpStats,
     /// FLOW_MODs applied to simulated tables.
     pub flow_mods_applied: u64,
+    /// Switches whose table the last pump wrote (expiries, then FLOW_MODs;
+    /// a switch with both is listed twice).
+    changed: Vec<NodeId>,
     /// Structured trace sink for pump-level and agent-side OpenFlow events
     /// (the agent API is wall-clock-free, so the CM records on its behalf).
     tracer: Tracer,
@@ -834,6 +853,7 @@ impl SdnControl {
             mode: PumpMode::default(),
             stats: PumpStats::default(),
             flow_mods_applied: 0,
+            changed: Vec::new(),
             tracer: Tracer::default(),
         }
     }
@@ -865,6 +885,7 @@ impl SdnControl {
     fn pump(&mut self, now: SimTime, dp: &mut DataPlane, fluid: &FluidNetwork) -> PumpOutcome {
         self.stats.steps += 1;
         self.stats.nodes_total += self.agents.len() as u64;
+        self.changed.clear();
         let mut out = PumpOutcome::default();
         // 0. App timer due?
         if let Some(t) = self.wake_at {
@@ -945,9 +966,7 @@ impl SdnControl {
                     reason: PumpReason::Deadline,
                 },
             );
-            let (activity, tables_changed) = self.sweep_table(node, now, dp, fluid);
-            out.activity |= activity;
-            out.tables_changed |= tables_changed;
+            out.activity |= self.sweep_table(node, now, dp, fluid);
         }
         // 3. Drain agent events — only agents holding work.
         let drain: Vec<NodeId> = match self.mode {
@@ -975,7 +994,6 @@ impl SdnControl {
                         if Self::apply_flow_mod(dp, node, &fm, now) {
                             self.tracer
                                 .record(now, TraceData::OfFlowMod { node: node.0 });
-                            out.tables_changed = true;
                             table_touched = true;
                             self.flow_mods_applied += 1;
                         }
@@ -1018,6 +1036,7 @@ impl SdnControl {
                 self.dirty.insert(node);
             }
             if table_touched {
+                self.changed.push(node);
                 self.reindex_expiry(node, dp);
             }
         }
@@ -1048,16 +1067,17 @@ impl SdnControl {
     /// moving bits (the CM stands in for the per-packet counters a real
     /// switch would have), expire the rest, report each expiry as a
     /// FLOW_REMOVED (OFPFF_SEND_FLOW_REM is implied in this model), and
-    /// re-index the table's next deadline.
+    /// re-index the table's next deadline. Returns true if any entry
+    /// expired (control activity, and a changed table).
     fn sweep_table(
         &mut self,
         node: NodeId,
         now: SimTime,
         dp: &mut DataPlane,
         fluid: &FluidNetwork,
-    ) -> (bool, bool) {
+    ) -> bool {
         let Some(table) = dp.table_mut(node) else {
-            return (false, false);
+            return false;
         };
         self.stats.table_scans += 1;
         if table.has_timed_entries() && table.entries().iter().any(|e| !e.idle_timeout.is_zero()) {
@@ -1088,8 +1108,9 @@ impl SdnControl {
             }
         }
         if expired.is_empty() {
-            return (false, false);
+            return false;
         }
+        self.changed.push(node);
         self.tracer.record(
             now,
             TraceData::FlowRemoved {
@@ -1113,7 +1134,7 @@ impl SdnControl {
             });
         }
         self.dirty.insert(node);
-        (true, true)
+        true
     }
 
     /// Re-registers `node`'s earliest table expiry in the wheel.

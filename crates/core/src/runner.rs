@@ -5,9 +5,10 @@
 //! 1. **Pump the control plane** (deliver queued protocol bytes, poll
 //!    timers, apply RIB→FIB installs and FLOW_MODs). Any movement is
 //!    control activity → the clock is promoted to (or held in) FTI mode.
-//! 2. **React to table changes**: retry unrouted flows, re-resolve routed
-//!    flows whose forwarding state changed (rerouting them in the fluid
-//!    model).
+//! 2. **React to table changes**: retry unrouted flows, re-resolve the
+//!    routed flows that cross a node whose forwarding state changed — and
+//!    the *stale* ones, whose last re-resolve failed somewhere — rerouting
+//!    them in the fluid model (see [`Runner::on_tables_changed`]).
 //! 3. **Advance the clock**: in FTI, one fixed increment (paced against
 //!    wall time under [`Pacing::RealTime`]); in DES, jump straight to the
 //!    next event — including pending control-plane timer deadlines
@@ -24,7 +25,7 @@ use horse_net::addr::MacAddr;
 use horse_net::flow::FlowId;
 use horse_net::fluid::{Dirty, FluidNetwork};
 use horse_net::packet::Packet;
-use horse_net::topology::{NodeId, Topology};
+use horse_net::topology::{NodeId, PortId, Topology};
 use horse_sim::clock::Advance;
 use horse_sim::{
     ClockMode, EventId, EventQueue, FtiConfig, HybridClock, Pacer, Pacing, SimDuration, SimTime,
@@ -99,6 +100,13 @@ pub struct Runner {
     /// per-flow lists — a flow's first packet misses at most a handful of
     /// hops before rules land).
     miss_sent: Vec<Vec<NodeId>>,
+    /// Live flows whose path in the fluid model is not what the tables
+    /// resolve them to: the last re-resolve failed (no route, a dead link,
+    /// a loop — the flow keeps its old path, starved or not) or its
+    /// reroute was refused. The walk that failed may have ended at a node
+    /// off that path, so a change at *any* node can revive such a flow:
+    /// every reaction re-resolves all of them.
+    stale: BTreeSet<FlowId>,
     /// Active flow per traffic index, dense.
     active_by_idx: Vec<Option<FlowId>>,
     active_count: usize,
@@ -161,6 +169,7 @@ impl Runner {
             run_threads: 1,
             pending: BTreeSet::new(),
             miss_sent: vec![Vec::new(); n],
+            stale: BTreeSet::new(),
             active_by_idx: vec![None; n],
             active_count: 0,
             idx_by_flow: Vec::new(),
@@ -250,6 +259,7 @@ impl Runner {
         let fid = self.active_by_idx[idx].take()?;
         self.active_count -= 1;
         self.idx_by_flow[fid.0 as usize] = None;
+        self.stale.remove(&fid);
         Some(fid)
     }
 
@@ -258,6 +268,7 @@ impl Runner {
         self.idx_by_flow[fid.0 as usize] = None;
         self.active_by_idx[idx] = None;
         self.active_count -= 1;
+        self.stale.remove(&fid);
         Some(idx)
     }
 
@@ -298,8 +309,9 @@ impl Runner {
                 self.trace_cause = "pump";
                 self.clock.on_control_activity();
             }
-            if outcome.tables_changed {
-                self.on_tables_changed(now);
+            let changed = self.control.take_changed();
+            if !changed.is_empty() {
+                self.on_tables_changed(now, &changed);
             }
             self.sync_ctrl_event();
             if self.clock.now() >= self.horizon {
@@ -407,7 +419,9 @@ impl Runner {
                     self.clock.on_control_activity();
                     self.trace_modes();
                     // Surviving routes may offer alternate paths right away.
-                    self.on_tables_changed(now);
+                    // A link's state is read only by the nodes it joins.
+                    let link = self.topo.link(le.link);
+                    self.on_tables_changed(now, &[link.a.node, link.b.node]);
                 }
             }
             Ev::Retry => {
@@ -527,24 +541,75 @@ impl Runner {
         }
     }
 
-    /// Forwarding state changed: retry pending flows, re-path active ones.
-    /// All starts and reroutes triggered by one control burst are deferred
-    /// into a single scoped fluid solve.
-    fn on_tables_changed(&mut self, now: SimTime) {
+    /// Forwarding state changed at `changed` (tables written, or the state
+    /// of a link they join): retry pending flows, re-path the active ones
+    /// the change can reach. All starts and reroutes triggered by one
+    /// control burst are deferred into a single scoped fluid solve.
+    ///
+    /// A resolve reads only the nodes it walks through (their tables and
+    /// the state of the links it leaves them by), and a flow that is not
+    /// [stale](Runner::stale) was last resolved to the very path it has in
+    /// the fluid model — so unless that path touches a changed node, a
+    /// re-resolve would walk the same unchanged nodes to the same path.
+    /// The flows to re-resolve are therefore the stale ones plus those on
+    /// a link of a changed node, which the fluid model's link → flows
+    /// index lists without looking at the rest.
+    fn on_tables_changed(&mut self, now: SimTime, changed: &[NodeId]) {
         self.retry_pending(now);
-        // Every flow the runner started and has not retired is active in
-        // the fluid model, and nothing else is; its active set lists them
-        // in ascending `FlowId` order.
-        let active: Vec<FlowId> = self.fluid.flow_ids().collect();
-        for fid in active {
-            let spec = *self.fluid.spec(fid).expect("listed as active");
-            if let Ok(path) = self.dp.resolve(&self.topo, spec.src, spec.dst, &spec.tuple) {
-                if self.fluid.path(fid) != Some(path.as_slice()) {
-                    let _ = self.fluid.reroute_deferred(now, fid, path, &self.topo);
+        // Ascending `FlowId` order, as the fluid model lists its flows.
+        let mut affected = self.stale.clone();
+        for node in changed {
+            for port in 0..self.topo.node(*node).port_count() {
+                if let Some(link) = self.topo.link_at(*node, PortId(port as u16)) {
+                    affected.extend(self.fluid.flows_on_link(link).iter().map(|(fid, _)| *fid));
                 }
             }
         }
+        for fid in affected {
+            // Every flow the runner started and has not retired is active
+            // in the fluid model, and nothing else is.
+            let Some(spec) = self.fluid.spec(fid).copied() else {
+                continue;
+            };
+            let settled = match self.dp.resolve(&self.topo, spec.src, spec.dst, &spec.tuple) {
+                Ok(path) => {
+                    self.fluid.path(fid) == Some(path.as_slice())
+                        || self
+                            .fluid
+                            .reroute_deferred(now, fid, path, &self.topo)
+                            .is_ok()
+                }
+                Err(_) => false,
+            };
+            if settled {
+                self.stale.remove(&fid);
+            } else {
+                self.stale.insert(fid);
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check_reaction_was_complete();
         self.flush_fluid(now);
+    }
+
+    /// The unscoped reaction — re-resolve every live flow — must find
+    /// nothing left to do: a flow whose path differs from what the tables
+    /// say, or that no longer resolves, has to be in the stale set.
+    #[cfg(debug_assertions)]
+    fn check_reaction_was_complete(&self) {
+        for fid in self.fluid.flow_ids() {
+            let spec = self.fluid.spec(fid).expect("listed as active");
+            let resolved = self.dp.resolve(&self.topo, spec.src, spec.dst, &spec.tuple);
+            let settled = resolved
+                .as_ref()
+                .is_ok_and(|path| self.fluid.path(fid) == Some(path.as_slice()));
+            assert_eq!(
+                self.stale.contains(&fid),
+                !settled,
+                "{fid:?} has path {:?} and resolves to {resolved:?}",
+                self.fluid.path(fid),
+            );
+        }
     }
 
     fn resync_completion(&mut self, _now: SimTime) {
@@ -682,5 +747,105 @@ impl Runner {
             mem_attr_bytes_est: mem.3,
             trace,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use horse_dataplane::fib::{NextHop, RouteEntry, RouteOrigin};
+    use horse_dataplane::hash::HashMode;
+    use horse_net::addr::Ipv4Prefix;
+    use horse_net::flow::{FiveTuple, FlowSpec};
+    use std::net::Ipv4Addr;
+
+    fn via(port: PortId) -> RouteEntry {
+        let hop = NextHop {
+            port,
+            gateway: Ipv4Addr::UNSPECIFIED,
+        };
+        RouteEntry::new(vec![hop], RouteOrigin::Static)
+    }
+
+    /// The stale case: a flow's re-resolve fails at a router that is not on
+    /// the path the flow keeps, so a later change at that router — which
+    /// joins no link of that path — must still re-resolve and move it.
+    #[test]
+    fn a_flow_whose_resolve_failed_off_its_path_moves_when_that_router_changes() {
+        // h0 - r - {a, b} - m - h1
+        const G: f64 = 1e9;
+        let mut t = Topology::new();
+        let sn: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
+        let dn: Ipv4Prefix = "10.0.1.0/24".parse().unwrap();
+        let h0 = t.add_host("h0", Ipv4Addr::new(10, 0, 0, 1), sn);
+        let h1 = t.add_host("h1", Ipv4Addr::new(10, 0, 1, 1), dn);
+        let r = t.add_router("r", Ipv4Addr::new(10, 255, 0, 0));
+        let a = t.add_router("a", Ipv4Addr::new(10, 255, 0, 1));
+        let b = t.add_router("b", Ipv4Addr::new(10, 255, 0, 2));
+        let m = t.add_router("m", Ipv4Addr::new(10, 255, 0, 3));
+        t.add_link(h0, r, G, 0);
+        let (r_a, r_to_a, _) = t.add_link(r, a, G, 0);
+        let (r_b, r_to_b, _) = t.add_link(r, b, G, 0);
+        let (_, a_to_m, _) = t.add_link(a, m, G, 0);
+        let (_, b_to_m, _) = t.add_link(b, m, G, 0);
+        let (_, m_to_h1, _) = t.add_link(m, h1, G, 0);
+        let mut dp = DataPlane::from_topology(&t, HashMode::SrcDst, HashMode::FiveTuple);
+        dp.fib_mut(r).unwrap().insert(dn, via(r_to_a));
+        dp.fib_mut(a).unwrap().insert(dn, via(a_to_m));
+        dp.fib_mut(m).unwrap().insert(dn, via(m_to_h1));
+        // b has no route yet.
+        let tuple = FiveTuple::udp(
+            Ipv4Addr::new(10, 0, 0, 1),
+            1000,
+            Ipv4Addr::new(10, 0, 1, 1),
+            80,
+        );
+        let traffic = vec![TrafficEvent {
+            start: SimTime::ZERO,
+            spec: FlowSpec::cbr(h0, h1, tuple, G),
+            stop: None,
+        }];
+        let mut runner = Runner::new(
+            Arc::new(t),
+            dp,
+            ControlPlane::None,
+            traffic,
+            Vec::new(),
+            FtiConfig {
+                increment: SimDuration::from_millis(1),
+                quiescence: SimDuration::from_millis(100),
+            },
+            Pacing::Virtual,
+            SimTime::from_secs(10),
+            SimDuration::ZERO,
+            String::from("stale"),
+        );
+        runner.try_start_flow(SimTime::ZERO, 0);
+        runner.flush_fluid(SimTime::ZERO);
+        let fid = runner.active_by_idx[0].expect("routed via a");
+        assert!(runner.fluid.path(fid).unwrap().contains(&r_a));
+        assert!(runner.stale.is_empty());
+
+        // r moves the prefix to b, which has no route: the walk now dies at
+        // b, and the flow keeps its path through a.
+        runner.dp.fib_mut(r).unwrap().insert(dn, via(r_to_b));
+        runner.on_tables_changed(SimTime::from_secs(1), &[r]);
+        assert!(
+            runner.fluid.path(fid).unwrap().contains(&r_a),
+            "kept the old path"
+        );
+        assert!(runner.stale.contains(&fid));
+
+        // b learns the route. No link of b is on the flow's path; only the
+        // stale set makes the flow a candidate.
+        runner.dp.fib_mut(b).unwrap().insert(dn, via(b_to_m));
+        runner.on_tables_changed(SimTime::from_secs(2), &[b]);
+        let path = runner.fluid.path(fid).unwrap();
+        assert!(
+            path.contains(&r_b) && !path.contains(&r_a),
+            "moved onto b: {path:?}"
+        );
+        assert!(runner.stale.is_empty());
+        assert_eq!(runner.fluid.rate_of(fid), Some(G));
     }
 }

@@ -1,16 +1,31 @@
-//! A longest-prefix-match forwarding table (binary trie) with ECMP
-//! next-hop sets.
+//! A longest-prefix-match forwarding table with ECMP next-hop sets: one hash
+//! map of routes, probed one prefix length at a time, over a table of
+//! interned entries.
 //!
-//! The trie is bit-indexed on the IPv4 destination: each node has two
-//! children (bit 0 / bit 1) and an optional route. Lookup walks at most 32
-//! levels remembering the deepest route seen. Nodes live in a `Vec` arena;
-//! removal clears the route but leaves structural nodes in place (tables in
-//! these experiments are rewritten far more often than shrunk, and the arena
-//! keeps the hot lookup path allocation-free).
+//! * **Routes** live in one [`FastMap`] keyed by `(length, network)` packed
+//!   into a word, so installing, replacing and removing a route is one probe
+//!   whatever the prefix length. A count of routes per length (and the bit
+//!   mask of the lengths in use) lets [`Fib::lookup`] probe only lengths
+//!   that hold a route, longest first: a lookup costs at most one probe per
+//!   *distinct* length present — never more than 33, two or three in the
+//!   tables these experiments build — instead of a pointer walk per address
+//!   bit.
+//! * **Entries** are interned per FIB: routes hold an [`EntryId`], equal
+//!   `(origin, next hops)` are stored once, and "did this install change
+//!   the table" is an id comparison. Entries are reference-counted by the
+//!   routes (and the callers) holding them and freed at zero, so a table
+//!   that flaps between hop sets forever stays as small as its live routes.
+//!
+//! Nothing about the map's iteration order leaks: [`Fib::iter`] sorts, and
+//! [`Fib::flush_origin`] only counts.
 
 use horse_net::addr::Ipv4Prefix;
+use horse_net::intern::FastMap;
 use horse_net::topology::PortId;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Where a route came from — used to prefer more specific sources when the
 /// control plane rewrites state, and for debugging dumps.
@@ -35,7 +50,7 @@ pub struct NextHop {
 }
 
 /// A routing entry: one or more equal-cost next hops.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RouteEntry {
     /// Equal-cost next hops, in deterministic (sorted) order.
     pub next_hops: Vec<NextHop>,
@@ -52,17 +67,47 @@ impl RouteEntry {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct TrieNode {
-    children: [Option<u32>; 2],
-    route: Option<RouteEntry>,
+/// Handle of an entry interned in one [`Fib`]. Two handles from the same
+/// FIB are equal exactly when their entries are; a handle means nothing to
+/// another FIB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryId(u32);
+
+/// One row of the entry table. A freed row (`refs == 0`, listed in
+/// `Fib::free`) keeps its last entry until the row is reused.
+#[derive(Debug, Clone)]
+struct Slot {
+    entry: Arc<RouteEntry>,
+    /// Routes pointing here plus handles held by callers.
+    refs: u32,
+}
+
+/// The route-map key: prefix length above the network address.
+fn route_key(len: u8, network: u32) -> u64 {
+    u64::from(len) << 32 | u64::from(network)
+}
+
+fn key_of(prefix: Ipv4Prefix) -> u64 {
+    route_key(prefix.len(), u32::from(prefix.network()))
+}
+
+fn prefix_of(key: u64) -> Ipv4Prefix {
+    Ipv4Prefix::new(Ipv4Addr::from(key as u32), (key >> 32) as u8)
 }
 
 /// A longest-prefix-match FIB.
 #[derive(Debug, Clone)]
 pub struct Fib {
-    nodes: Vec<TrieNode>,
-    route_count: usize,
+    routes: FastMap<u64, EntryId>,
+    /// Routes installed per prefix length.
+    len_counts: [u32; 33],
+    /// Bit `len` is set exactly when `len_counts[len] > 0`.
+    len_mask: u64,
+    slots: Vec<Slot>,
+    /// Rows of `slots` free for reuse.
+    free: Vec<u32>,
+    /// Live entry → its row.
+    ids: FastMap<Arc<RouteEntry>, EntryId>,
 }
 
 impl Default for Fib {
@@ -75,141 +120,176 @@ impl Fib {
     /// An empty FIB.
     pub fn new() -> Fib {
         Fib {
-            nodes: vec![TrieNode::default()],
-            route_count: 0,
+            routes: FastMap::default(),
+            len_counts: [0; 33],
+            len_mask: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            ids: FastMap::default(),
         }
     }
 
     /// Number of installed routes.
     pub fn len(&self) -> usize {
-        self.route_count
+        self.routes.len()
     }
 
     /// True if no routes are installed.
     pub fn is_empty(&self) -> bool {
-        self.route_count == 0
+        self.routes.is_empty()
+    }
+
+    /// Number of distinct entries currently interned.
+    pub fn interned_entries(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Interns `entry`, handing the caller one reference to it — to be
+    /// given back with [`Fib::release`]. Equal entries get equal handles;
+    /// only a new one is copied.
+    pub fn intern(&mut self, entry: &RouteEntry) -> EntryId {
+        self.intern_cow(Cow::Borrowed(entry))
+    }
+
+    fn intern_cow(&mut self, entry: Cow<'_, RouteEntry>) -> EntryId {
+        if let Some(&id) = self.ids.get(entry.as_ref()) {
+            self.slots[id.0 as usize].refs += 1;
+            return id;
+        }
+        let slot = Slot {
+            entry: Arc::new(entry.into_owned()),
+            refs: 1,
+        };
+        let key = Arc::clone(&slot.entry);
+        let id = match self.free.pop() {
+            Some(row) => {
+                self.slots[row as usize] = slot;
+                EntryId(row)
+            }
+            None => {
+                self.slots.push(slot);
+                EntryId((self.slots.len() - 1) as u32)
+            }
+        };
+        self.ids.insert(key, id);
+        id
+    }
+
+    /// Gives back one reference to `id`; the last one frees the entry.
+    pub fn release(&mut self, id: EntryId) {
+        let slot = &mut self.slots[id.0 as usize];
+        debug_assert!(slot.refs > 0, "released a freed entry");
+        slot.refs -= 1;
+        if slot.refs == 0 {
+            self.ids.remove(&*slot.entry);
+            self.free.push(id.0);
+        }
+    }
+
+    /// Gives back one reference to `id` in exchange for the entry itself.
+    fn redeem(&mut self, id: EntryId) -> Arc<RouteEntry> {
+        let entry = Arc::clone(&self.slots[id.0 as usize].entry);
+        self.release(id);
+        entry
+    }
+
+    /// Points `prefix` at `id` (the route takes a reference of its own) and
+    /// returns the entry it pointed at before, whose reference passes to
+    /// the caller.
+    fn point(&mut self, prefix: Ipv4Prefix, id: EntryId) -> Option<EntryId> {
+        self.slots[id.0 as usize].refs += 1;
+        match self.routes.entry(key_of(prefix)) {
+            Entry::Occupied(mut route) => Some(route.insert(id)),
+            Entry::Vacant(route) => {
+                route.insert(id);
+                let len = usize::from(prefix.len());
+                self.len_counts[len] += 1;
+                self.len_mask |= 1 << len;
+                None
+            }
+        }
+    }
+
+    /// Installs (or replaces) the route for `prefix` with an entry of this
+    /// FIB's [`Fib::intern`]. Returns true if the FIB changed — the prefix
+    /// was absent or held a different entry.
+    pub fn install(&mut self, prefix: Ipv4Prefix, id: EntryId) -> bool {
+        match self.point(prefix, id) {
+            Some(old) => {
+                self.release(old);
+                old != id
+            }
+            None => true,
+        }
     }
 
     /// Inserts (or replaces) the route for `prefix`. Returns the previous
     /// entry if one existed.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, entry: RouteEntry) -> Option<RouteEntry> {
-        let idx = self
-            .walk_to(prefix, true)
-            .expect("create=true always finds");
-        let old = self.nodes[idx as usize].route.replace(entry);
-        if old.is_none() {
-            self.route_count += 1;
-        }
-        old
+    pub fn insert(&mut self, prefix: Ipv4Prefix, entry: RouteEntry) -> Option<Arc<RouteEntry>> {
+        let id = self.intern_cow(Cow::Owned(entry));
+        let old = self.point(prefix, id);
+        self.release(id);
+        old.map(|old| self.redeem(old))
     }
 
-    /// Removes the route for `prefix`, returning it if present.
-    pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<RouteEntry> {
-        let idx = self.walk_to(prefix, false)?;
-        let old = self.nodes[idx as usize].route.take();
-        if old.is_some() {
-            self.route_count -= 1;
+    /// Removes the route for `prefix`, returning its entry if present.
+    pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<Arc<RouteEntry>> {
+        let id = self.routes.remove(&key_of(prefix))?;
+        let len = usize::from(prefix.len());
+        self.len_counts[len] -= 1;
+        if self.len_counts[len] == 0 {
+            self.len_mask &= !(1 << len);
         }
-        old
+        Some(self.redeem(id))
     }
 
     /// The exact-match entry for `prefix`, if installed.
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&RouteEntry> {
-        let idx = self.walk_to_ref(prefix)?;
-        self.nodes[idx as usize].route.as_ref()
+        let id = self.routes.get(&key_of(prefix))?;
+        Some(&self.slots[id.0 as usize].entry)
     }
 
     /// Longest-prefix-match lookup: the most specific entry covering `dst`.
+    /// Probes the prefix lengths that hold a route, longest first.
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<(Ipv4Prefix, &RouteEntry)> {
         let bits = u32::from(dst);
-        let mut idx = 0u32;
-        let mut best: Option<(u8, u32)> = self.nodes[0].route.as_ref().map(|_| (0u8, 0u32));
-        for depth in 0..32u8 {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            match self.nodes[idx as usize].children[bit] {
-                Some(next) => {
-                    idx = next;
-                    if self.nodes[idx as usize].route.is_some() {
-                        best = Some((depth + 1, idx));
-                    }
-                }
-                None => break,
+        let mut lens = self.len_mask;
+        while lens != 0 {
+            let len = (63 - lens.leading_zeros()) as u8;
+            lens &= !(1 << len);
+            let key = route_key(len, bits & Ipv4Prefix::mask(len));
+            if let Some(id) = self.routes.get(&key) {
+                return Some((prefix_of(key), &self.slots[id.0 as usize].entry));
             }
         }
-        best.map(|(len, idx)| {
-            let entry = self.nodes[idx as usize].route.as_ref().expect("tracked");
-            // Reconstruct the prefix from dst + len (host bits masked).
-            (Ipv4Prefix::new(dst, len), entry)
-        })
+        None
     }
 
-    /// All installed `(prefix, entry)` pairs, in trie (lexicographic) order.
+    /// All installed `(prefix, entry)` pairs, ordered by network address,
+    /// then by length (a prefix before the more specific ones it covers).
     pub fn iter(&self) -> Vec<(Ipv4Prefix, &RouteEntry)> {
-        let mut out = Vec::with_capacity(self.route_count);
-        self.collect(0, 0, 0, &mut out);
+        let mut out: Vec<(Ipv4Prefix, &RouteEntry)> = self
+            .routes
+            .iter()
+            .map(|(key, id)| (prefix_of(*key), &*self.slots[id.0 as usize].entry))
+            .collect();
+        out.sort_unstable_by_key(|(prefix, _)| *prefix);
         out
     }
 
     /// Drops every route of a given origin (e.g. flush BGP routes on session
     /// reset), returning how many were removed.
     pub fn flush_origin(&mut self, origin: RouteOrigin) -> usize {
-        let mut removed = 0;
-        for n in &mut self.nodes {
-            if n.route.as_ref().is_some_and(|r| r.origin == origin) {
-                n.route = None;
-                removed += 1;
-            }
+        let doomed: Vec<Ipv4Prefix> = self
+            .routes
+            .iter()
+            .filter(|(_, id)| self.slots[id.0 as usize].entry.origin == origin)
+            .map(|(key, _)| prefix_of(*key))
+            .collect();
+        for prefix in &doomed {
+            self.remove(*prefix);
         }
-        self.route_count -= removed;
-        removed
-    }
-
-    fn collect<'a>(
-        &'a self,
-        idx: u32,
-        acc: u32,
-        depth: u8,
-        out: &mut Vec<(Ipv4Prefix, &'a RouteEntry)>,
-    ) {
-        let node = &self.nodes[idx as usize];
-        if let Some(route) = &node.route {
-            let addr = Ipv4Addr::from(if depth == 0 { 0 } else { acc << (32 - depth) });
-            out.push((Ipv4Prefix::new(addr, depth), route));
-        }
-        for bit in 0..2u32 {
-            if let Some(child) = node.children[bit as usize] {
-                self.collect(child, (acc << 1) | bit, depth + 1, out);
-            }
-        }
-    }
-
-    fn walk_to(&mut self, prefix: Ipv4Prefix, create: bool) -> Option<u32> {
-        let bits = u32::from(prefix.network());
-        let mut idx = 0u32;
-        for depth in 0..prefix.len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            idx = match self.nodes[idx as usize].children[bit] {
-                Some(next) => next,
-                None if create => {
-                    let next = self.nodes.len() as u32;
-                    self.nodes.push(TrieNode::default());
-                    self.nodes[idx as usize].children[bit] = Some(next);
-                    next
-                }
-                None => return None,
-            };
-        }
-        Some(idx)
-    }
-
-    fn walk_to_ref(&self, prefix: Ipv4Prefix) -> Option<u32> {
-        let bits = u32::from(prefix.network());
-        let mut idx = 0u32;
-        for depth in 0..prefix.len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            idx = self.nodes[idx as usize].children[bit]?;
-        }
-        Some(idx)
+        doomed.len()
     }
 }
 
@@ -295,17 +375,95 @@ mod tests {
     }
 
     #[test]
-    fn iter_lists_all_routes() {
+    fn iter_orders_by_network_then_length() {
         let mut fib = Fib::new();
-        let prefixes = ["0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "192.168.0.0/24"];
-        for (i, s) in prefixes.iter().enumerate() {
+        let installed = [
+            "192.168.0.0/24",
+            "10.1.0.0/16",
+            "10.0.0.0/8",
+            "0.0.0.0/0",
+            "10.0.0.0/16",
+            "10.0.0.0/32",
+        ];
+        for (i, s) in installed.iter().enumerate() {
             fib.insert(p(s), entry(&[i as u16]));
         }
         let got: Vec<String> = fib.iter().iter().map(|(p, _)| p.to_string()).collect();
-        assert_eq!(got.len(), 4);
-        for s in prefixes {
-            assert!(got.contains(&s.to_string()), "{s} missing from {got:?}");
+        assert_eq!(
+            got,
+            [
+                "0.0.0.0/0",
+                "10.0.0.0/8",
+                "10.0.0.0/16",
+                "10.0.0.0/32",
+                "10.1.0.0/16",
+                "192.168.0.0/24",
+            ]
+        );
+    }
+
+    #[test]
+    fn equal_entries_are_stored_once_and_compare_by_handle() {
+        let mut fib = Fib::new();
+        for i in 0..100u8 {
+            fib.insert(
+                Ipv4Prefix::new(Ipv4Addr::new(10, i, 0, 0), 16),
+                entry(&[1, 2]),
+            );
         }
+        assert_eq!(fib.len(), 100);
+        assert_eq!(fib.interned_entries(), 1);
+        let same = fib.intern(&entry(&[2, 1, 2]));
+        let other = fib.intern(&entry(&[3]));
+        assert_ne!(same, other);
+        assert!(!fib.install(p("10.7.0.0/16"), same), "already that entry");
+        assert!(fib.install(p("10.7.0.0/16"), other));
+        assert!(fib.install(p("10.200.0.0/16"), other), "new prefix");
+        assert_eq!(fib.get(p("10.7.0.0/16")), Some(&entry(&[3])));
+        assert_eq!(fib.len(), 101);
+        fib.release(same);
+        fib.release(other);
+        assert_eq!(fib.interned_entries(), 2);
+        // Same hops under another origin are another entry.
+        fib.insert(
+            p("10.8.0.0/16"),
+            RouteEntry::new(vec![hop(1), hop(2)], RouteOrigin::Bgp),
+        );
+        assert_eq!(fib.interned_entries(), 3);
+    }
+
+    #[test]
+    fn churn_between_two_hop_sets_does_not_grow_the_entry_table() {
+        let mut fib = Fib::new();
+        let prefix = p("10.0.0.0/24");
+        for i in 0..10_000u32 {
+            fib.insert(prefix, entry(if i % 2 == 0 { &[1] } else { &[2, 3] }));
+            assert_eq!(fib.len(), 1);
+        }
+        assert!(fib.interned_entries() <= 2, "{}", fib.interned_entries());
+        assert!(fib.slots.len() <= 2, "{} rows", fib.slots.len());
+        assert_eq!(fib.get(prefix), Some(&entry(&[2, 3])));
+        fib.remove(prefix);
+        assert_eq!(fib.interned_entries(), 0);
+        assert_eq!(fib.free.len(), fib.slots.len());
+    }
+
+    #[test]
+    fn lookup_skips_lengths_that_emptied() {
+        let mut fib = Fib::new();
+        fib.insert(Ipv4Prefix::DEFAULT, entry(&[0]));
+        fib.insert(p("10.1.2.0/24"), entry(&[24]));
+        fib.insert(p("10.1.2.3/32"), entry(&[32]));
+        let dst = Ipv4Addr::new(10, 1, 2, 3);
+        assert_eq!(fib.lookup(dst).unwrap().0, p("10.1.2.3/32"));
+        fib.remove(p("10.1.2.3/32"));
+        assert_eq!(fib.len_mask, 1 | 1 << 24);
+        assert_eq!(fib.lookup(dst).unwrap().0, p("10.1.2.0/24"));
+        fib.remove(p("10.1.2.0/24"));
+        assert_eq!(fib.lookup(dst).unwrap().0, Ipv4Prefix::DEFAULT);
+        fib.remove(Ipv4Prefix::DEFAULT);
+        assert_eq!(fib.len_mask, 0);
+        assert!(fib.lookup(dst).is_none());
     }
 
     #[test]

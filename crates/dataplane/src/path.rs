@@ -18,7 +18,6 @@ use crate::flowtable::{Action, FlowKey, FlowTable};
 use crate::hash::{EcmpHasher, HashMode};
 use horse_net::flow::FiveTuple;
 use horse_net::topology::{LinkId, NodeId, PortId, Topology};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Per-node forwarding state.
@@ -108,7 +107,9 @@ const MAX_HOPS: usize = 64;
 /// All per-node forwarding state plus the resolution walk.
 #[derive(Debug, Default)]
 pub struct DataPlane {
-    nodes: HashMap<NodeId, NodeForwarding>,
+    /// Indexed by `NodeId` value (node ids are dense); `None` = the node
+    /// has no forwarding state registered.
+    nodes: Vec<Option<NodeForwarding>>,
 }
 
 impl DataPlane {
@@ -117,14 +118,22 @@ impl DataPlane {
         DataPlane::default()
     }
 
+    fn register(&mut self, node: NodeId, state: NodeForwarding) {
+        let i = node.0 as usize;
+        if i >= self.nodes.len() {
+            self.nodes.resize(i + 1, None);
+        }
+        self.nodes[i] = Some(state);
+    }
+
     /// Registers a host.
     pub fn add_host(&mut self, node: NodeId) {
-        self.nodes.insert(node, NodeForwarding::Host);
+        self.register(node, NodeForwarding::Host);
     }
 
     /// Registers a router with the given hash mode (seeded by node id).
     pub fn add_router(&mut self, node: NodeId, mode: HashMode) {
-        self.nodes.insert(
+        self.register(
             node,
             NodeForwarding::Router {
                 fib: Fib::new(),
@@ -135,7 +144,7 @@ impl DataPlane {
 
     /// Registers a switch with the given hash mode for `EcmpHash` actions.
     pub fn add_switch(&mut self, node: NodeId, mode: HashMode) {
-        self.nodes.insert(
+        self.register(
             node,
             NodeForwarding::Switch {
                 table: FlowTable::new(),
@@ -163,7 +172,7 @@ impl DataPlane {
 
     /// The FIB of a router.
     pub fn fib(&self, node: NodeId) -> Option<&Fib> {
-        match self.nodes.get(&node)? {
+        match self.forwarding(node)? {
             NodeForwarding::Router { fib, .. } => Some(fib),
             _ => None,
         }
@@ -171,7 +180,7 @@ impl DataPlane {
 
     /// Mutable FIB of a router (routes installed by the CM).
     pub fn fib_mut(&mut self, node: NodeId) -> Option<&mut Fib> {
-        match self.nodes.get_mut(&node)? {
+        match self.forwarding_mut(node)? {
             NodeForwarding::Router { fib, .. } => Some(fib),
             _ => None,
         }
@@ -179,7 +188,7 @@ impl DataPlane {
 
     /// The flow table of a switch.
     pub fn table(&self, node: NodeId) -> Option<&FlowTable> {
-        match self.nodes.get(&node)? {
+        match self.forwarding(node)? {
             NodeForwarding::Switch { table, .. } => Some(table),
             _ => None,
         }
@@ -187,7 +196,7 @@ impl DataPlane {
 
     /// Mutable flow table of a switch (rules installed by the controller).
     pub fn table_mut(&mut self, node: NodeId) -> Option<&mut FlowTable> {
-        match self.nodes.get_mut(&node)? {
+        match self.forwarding_mut(node)? {
             NodeForwarding::Switch { table, .. } => Some(table),
             _ => None,
         }
@@ -195,7 +204,11 @@ impl DataPlane {
 
     /// The forwarding state of a node.
     pub fn forwarding(&self, node: NodeId) -> Option<&NodeForwarding> {
-        self.nodes.get(&node)
+        self.nodes.get(node.0 as usize)?.as_ref()
+    }
+
+    fn forwarding_mut(&mut self, node: NodeId) -> Option<&mut NodeForwarding> {
+        self.nodes.get_mut(node.0 as usize)?.as_mut()
     }
 
     /// Walks `tuple` from `src` to `dst`, returning the link path.
@@ -239,7 +252,7 @@ impl DataPlane {
         _dst: NodeId,
         tuple: &FiveTuple,
     ) -> Result<PortId, ResolveError> {
-        match self.nodes.get(&node) {
+        match self.forwarding(node) {
             None => Err(ResolveError::Unknown { node }),
             Some(NodeForwarding::Host) => {
                 if in_port.is_some() {

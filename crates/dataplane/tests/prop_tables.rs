@@ -1,4 +1,4 @@
-//! Property tests: the LPM trie and the OpenFlow table agree with naive
+//! Property tests: the LPM FIB and the OpenFlow table agree with naive
 //! reference implementations under arbitrary operation sequences.
 
 use horse_dataplane::fib::{Fib, NextHop, RouteEntry, RouteOrigin};
@@ -10,79 +10,168 @@ use horse_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
+/// A handful of addresses, so prefixes of every length collide, nest and
+/// get replaced in place, and /32 host routes are actually looked up. One
+/// address sits outside 10/8: only short prefixes and the default cover it.
+fn addrs() -> impl Strategy<Value = Ipv4Addr> {
+    (0u8..3, 0u8..2, 0u8..2, 0u8..4).prop_map(|(a, b, c, d)| {
+        if a == 2 {
+            Ipv4Addr::new(172, 16 + b, c, d)
+        } else {
+            Ipv4Addr::new(10, a, b * 128 + c, d)
+        }
+    })
+}
+
 fn prefixes() -> impl Strategy<Value = Ipv4Prefix> {
-    // Cluster prefixes in 10/8 so inserts overlap heavily.
+    // Every length — the default route, short covering prefixes, /32s —
+    // with half the draws on a few common ones, so that removes, gets and
+    // replacements find the prefix they name.
+    (addrs(), 0u8..=32, any::<bool>()).prop_map(|(addr, len, common)| {
+        let len = if common {
+            [0, 8, 16, 24, 30, 32][usize::from(len) % 6]
+        } else {
+            len
+        };
+        Ipv4Prefix::new(addr, len)
+    })
+}
+
+/// Clustered in 10/8 (the fuzz test below).
+fn prefixes_10() -> impl Strategy<Value = Ipv4Prefix> {
     (0u32..=0xffff, 8u8..=32)
         .prop_map(|(bits, len)| Ipv4Prefix::new(Ipv4Addr::from(0x0a00_0000 | bits), len))
 }
 
+const ORIGINS: [RouteOrigin; 3] = [
+    RouteOrigin::Connected,
+    RouteOrigin::Static,
+    RouteOrigin::Bgp,
+];
+
+/// Hop sets in the pool: 16 single hops, then 80 two- and three-hop sets.
+const HOP_SETS: u16 = 96;
+
 #[derive(Debug, Clone)]
 enum FibOp {
-    Insert(Ipv4Prefix, u16),
+    /// Prefix, hop set of the pool, origin (index into [`ORIGINS`]).
+    Insert(Ipv4Prefix, u16, usize),
     Remove(Ipv4Prefix),
-    Lookup(u32),
+    Get(Ipv4Prefix),
+    Lookup(Ipv4Addr),
+    Flush(usize),
 }
 
 fn fib_ops() -> impl Strategy<Value = Vec<FibOp>> {
     prop::collection::vec(
         prop_oneof![
-            (prefixes(), 0u16..16).prop_map(|(p, port)| FibOp::Insert(p, port)),
+            (prefixes(), 0..HOP_SETS, 0usize..3).prop_map(|(p, h, o)| FibOp::Insert(p, h, o)),
+            (prefixes(), 0..HOP_SETS, 0usize..3).prop_map(|(p, h, o)| FibOp::Insert(p, h, o)),
             prefixes().prop_map(FibOp::Remove),
-            (0u32..=0x1ffff).prop_map(FibOp::Lookup),
+            prefixes().prop_map(FibOp::Get),
+            addrs().prop_map(FibOp::Lookup),
+            addrs().prop_map(FibOp::Lookup),
+            (0usize..3).prop_map(FibOp::Flush),
         ],
-        0..120,
+        0..160,
     )
+}
+
+fn hop(port: u16) -> NextHop {
+    NextHop {
+        port: PortId(port),
+        gateway: Ipv4Addr::new(172, 31, (port >> 8) as u8, port as u8),
+    }
+}
+
+/// Entry `i` of the pool; all [`HOP_SETS`] are distinct. Hops are given out
+/// of order: `RouteEntry::new` canonicalises.
+fn pool_entry(i: u16, origin: RouteOrigin) -> RouteEntry {
+    let hops = match i.checked_sub(16) {
+        None => vec![hop(i)],
+        Some(j) if j % 3 == 0 => vec![hop(100 + j), hop(8 + j / 8), hop(j % 8)],
+        Some(j) => vec![hop(8 + j / 8), hop(j % 8)],
+    };
+    RouteEntry::new(hops, origin)
 }
 
 fn entry(port: u16) -> RouteEntry {
-    RouteEntry::new(
-        vec![NextHop {
-            port: PortId(port),
-            gateway: Ipv4Addr::UNSPECIFIED,
-        }],
-        RouteOrigin::Static,
-    )
+    RouteEntry::new(vec![hop(port)], RouteOrigin::Static)
+}
+
+#[test]
+fn the_hop_set_pool_is_distinct() {
+    let pool: std::collections::BTreeSet<Vec<NextHop>> = (0..HOP_SETS)
+        .map(|i| pool_entry(i, RouteOrigin::Bgp).next_hops)
+        .collect();
+    assert!(pool.len() >= 64, "{} distinct hop sets", pool.len());
+    assert_eq!(pool.len(), usize::from(HOP_SETS));
 }
 
 proptest! {
-    /// The trie behaves exactly like a Vec of (prefix → entry) with
-    /// longest-prefix-wins lookup.
+    /// The FIB behaves exactly like a Vec of (prefix → entry) scanned for
+    /// the longest covering prefix: same answers from `insert`, `remove`,
+    /// `get`, `lookup` and `flush_origin`, the same `len`, the same
+    /// `iter()` listing in (network, length) order, and one interned entry
+    /// per distinct entry installed.
     #[test]
     fn fib_matches_naive_model(ops in fib_ops()) {
         let mut fib = Fib::new();
-        let mut model: Vec<(Ipv4Prefix, u16)> = Vec::new();
+        let mut model: Vec<(Ipv4Prefix, RouteEntry)> = Vec::new();
         for op in ops {
             match op {
-                FibOp::Insert(p, port) => {
-                    fib.insert(p, entry(port));
-                    model.retain(|(mp, _)| *mp != p);
-                    model.push((p, port));
+                FibOp::Insert(p, hops, origin) => {
+                    let e = pool_entry(hops, ORIGINS[origin]);
+                    let got = fib.insert(p, e.clone());
+                    let at = model.iter().position(|(mp, _)| *mp == p);
+                    let want = at.map(|at| model.remove(at).1);
+                    model.push((p, e));
+                    prop_assert_eq!(got.as_deref(), want.as_ref());
                 }
                 FibOp::Remove(p) => {
-                    let trie = fib.remove(p).is_some();
-                    let had = model.iter().any(|(mp, _)| *mp == p);
-                    model.retain(|(mp, _)| *mp != p);
-                    prop_assert_eq!(trie, had);
+                    let got = fib.remove(p);
+                    let at = model.iter().position(|(mp, _)| *mp == p);
+                    let want = at.map(|at| model.remove(at).1);
+                    prop_assert_eq!(got.as_deref(), want.as_ref());
                 }
-                FibOp::Lookup(bits) => {
-                    let dst = Ipv4Addr::from(0x0a00_0000 | bits);
-                    let got = fib.lookup(dst).map(|(p, e)| (p, e.next_hops[0].port.0));
+                FibOp::Get(p) => {
+                    let want = model.iter().find(|(mp, _)| *mp == p).map(|(_, e)| e);
+                    prop_assert_eq!(fib.get(p), want);
+                }
+                FibOp::Lookup(dst) => {
                     let want = model
                         .iter()
                         .filter(|(p, _)| p.contains(dst))
                         .max_by_key(|(p, _)| p.len())
-                        .map(|(p, port)| (*p, *port));
-                    prop_assert_eq!(got, want);
+                        .map(|(p, e)| (*p, e));
+                    prop_assert_eq!(fib.lookup(dst), want);
+                }
+                FibOp::Flush(origin) => {
+                    let before = model.len();
+                    model.retain(|(_, e)| e.origin != ORIGINS[origin]);
+                    prop_assert_eq!(fib.flush_origin(ORIGINS[origin]), before - model.len());
                 }
             }
             prop_assert_eq!(fib.len(), model.len());
+            prop_assert_eq!(fib.is_empty(), model.is_empty());
+            let mut listing: Vec<(Ipv4Prefix, &RouteEntry)> =
+                model.iter().map(|(p, e)| (*p, e)).collect();
+            listing.sort_by_key(|(p, _)| (u32::from(p.network()), p.len()));
+            prop_assert_eq!(fib.iter(), listing);
+            let mut distinct: Vec<&RouteEntry> = Vec::new();
+            for (_, e) in &model {
+                if !distinct.contains(&e) {
+                    distinct.push(e);
+                }
+            }
+            prop_assert_eq!(fib.interned_entries(), distinct.len());
         }
     }
 
     /// Fuzzing decode surfaces: random destination addresses against a
     /// random FIB never panic and always return covering prefixes.
     #[test]
-    fn fib_lookup_result_covers(inserts in prop::collection::vec((prefixes(), 0u16..4), 1..40), probe in any::<u32>()) {
+    fn fib_lookup_result_covers(inserts in prop::collection::vec((prefixes_10(), 0u16..4), 1..40), probe in any::<u32>()) {
         let mut fib = Fib::new();
         for (p, port) in &inserts {
             fib.insert(*p, entry(*port));

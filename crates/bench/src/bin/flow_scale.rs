@@ -1,48 +1,30 @@
-//! **Flow scale**: the arena flow plane vs the map-keyed oracle shape
-//! under flow churn, plus a concurrent-flow scaling curve.
+//! **Flow scale**: a concurrent-flow scaling curve for the arena flow
+//! plane.
 //!
-//! Two phases:
+//! Disjoint-rail topologies carry 10k→100k concurrent flows through the
+//! arena [`FluidNetwork`]: one deferred mega-burst solves every rail
+//! component (sharded across `HORSE_RUN_THREADS` when > 1), then a
+//! stop/start churn loop with lazy completion draining measures the
+//! steady-state per-event cost. Each row records walls, the solver's cost
+//! counters (heap pushes/stale pops, accrual settles, scratch reuses,
+//! parallel rounds) and a per-row peak RSS.
 //!
-//! 1. **Scaling curve** (runs first so per-row peak-RSS resets aren't
-//!    floored by the replay state). Disjoint-rail topologies carry
-//!    10k→100k concurrent flows through the arena
-//!    [`FluidNetwork`]: one deferred mega-burst solves every rail
-//!    component (sharded across `HORSE_RUN_THREADS` when > 1), then a
-//!    stop/start churn loop with lazy completion draining measures the
-//!    steady-state per-event cost. Each row records walls, the solver's
-//!    cost counters (heap pushes/stale pops, accrual settles, scratch
-//!    reuses, parallel rounds) and a per-row peak RSS.
-//!
-//! 2. **Differential replay** (the `HORSE_FLOW_MIN_SPEEDUP` gate). An
-//!    identical randomized flow-churn script — bounded/unbounded starts,
-//!    stops, link flaps, completion drains — runs through both shapes:
-//!
-//!    * **fast** — the arena [`FluidNetwork`]: dense slots, lazy byte
-//!      accrual, completion min-heap, pooled waterfill scratch;
-//!    * **oracle** — [`NaiveFluidNetwork`], the pre-refactor shape
-//!      preserved verbatim: `BTreeMap` flow table, eager `advance` over
-//!      every active flow, full-scan `next_completion`.
-//!
-//!    The replay asserts identical logical work (solves, flows/links
-//!    touched, seed dlinks), identical completion sequences, matching
-//!    rates, and a ≥ 3× reduction in per-event flow-plane work
-//!    (accrual touches + completion-scan visits). The fast shape also
-//!    replays once at `HORSE_RUN_THREADS` and once serially and must
-//!    produce bitwise-identical rates — the parallel-component
-//!    determinism contract.
-//!
-//! The JSON carries honest `cores` and `run_threads` fields; the
-//! `HORSE_FLOW_MIN_SPEEDUP` wall gate is enforced only on multi-core
-//! hosts (wall ratios on one core are scheduler noise).
+//! Equivalence with the map-keyed [`horse_net::fluid_naive`] oracle over
+//! whole churn scripts, serial and with component solves sharded, is
+//! asserted by `crates/net/tests/prop_fluid.rs`; wall time is asserted
+//! only by `benchmark/` (DESIGN.md "Where performance is asserted"). The
+//! JSON carries honest `cores` and `run_threads` fields so the record says
+//! what it was measured on.
 //!
 //! Run: `cargo run --release -p horse-bench --bin flow_scale --
-//! [churn_ops] [max_flows]` (defaults: 600, 100000). Writes
-//! `bench_results/flow_scale.json`.
+//! [churn_ops] [max_flows]` (default max flows: 100000). Writes
+//! `bench_results/flow_scale.json`. The leading `churn_ops` sized the
+//! retired arena-vs-oracle replay phase (EXPERIMENTS.md X5); it is still
+//! parsed so recorded command lines keep working, and is otherwise unused.
 
 use horse_core::RunConfig;
 use horse_net::flow::{FiveTuple, FlowId, FlowSpec};
-use horse_net::fluid::{Dirty, FluidNetwork, SolverStats};
-use horse_net::fluid_naive::NaiveFluidNetwork;
+use horse_net::fluid::{FluidNetwork, SolverStats};
 use horse_net::topology::{LinkId, NodeId, Topology};
 use horse_sim::SimTime;
 use std::fmt::Write as _;
@@ -50,8 +32,8 @@ use std::net::Ipv4Addr;
 
 const GBPS: f64 = 1e9;
 
-/// Deterministic xorshift64* — the script must be identical across
-/// shapes, reps and hosts.
+/// Deterministic xorshift64* — a row's flow mix must be identical across
+/// reps and hosts.
 struct Rng(u64);
 
 impl Rng {
@@ -101,242 +83,6 @@ fn tuple_for(rail: usize, key: u16) -> FiveTuple {
         9,
     )
 }
-
-// ---------------------------------------------------------------------
-// Phase 2: differential replay, oracle vs arena
-// ---------------------------------------------------------------------
-
-/// One scripted control-plane mutation (times are implicit: op `i` fires
-/// at `i + 1` ms).
-enum TraceOp {
-    /// Start a flow on `rail` (`size` None = unbounded CBR).
-    Start {
-        rail: usize,
-        demand: f64,
-        size: Option<u64>,
-        key: u16,
-    },
-    /// Retire the oldest still-active flow on `rail` (no-op when empty).
-    StopOldest { rail: usize },
-    /// Toggle `rail`'s link state.
-    Flap { rail: usize },
-}
-
-fn build_script(n_rails: usize, ops: usize) -> Vec<TraceOp> {
-    let mut rng = Rng(0x5eed_f10e_u64 | 1);
-    let mut key = 1u16;
-    (0..ops)
-        .map(|_| {
-            let rail = rng.below(n_rails as u64) as usize;
-            match rng.below(100) {
-                0..=59 => {
-                    key = key.wrapping_add(1).max(1);
-                    TraceOp::Start {
-                        rail,
-                        demand: (1 + rng.below(10)) as f64 * 1e8,
-                        // ~70% bounded; 2–40 MB so completions interleave
-                        // with the churn instead of piling up at the end.
-                        size: (rng.below(10) < 7).then(|| (2 + rng.below(39)) * 1_000_000),
-                        key,
-                    }
-                }
-                60..=84 => TraceOp::StopOldest { rail },
-                _ => TraceOp::Flap { rail },
-            }
-        })
-        .collect()
-}
-
-/// The solver surface the replay needs — implemented by both shapes so
-/// one replay function drives the identical logic through each.
-trait FlowPlane {
-    fn start_deferred(
-        &mut self,
-        now: SimTime,
-        spec: FlowSpec,
-        path: Vec<LinkId>,
-        topo: &Topology,
-    ) -> FlowId;
-    fn flush(&mut self, topo: &Topology);
-    fn stop(&mut self, now: SimTime, id: FlowId, topo: &Topology);
-    fn advance(&mut self, now: SimTime);
-    fn next_completion(&mut self) -> Option<(SimTime, FlowId)>;
-    fn is_complete(&self, id: FlowId) -> bool;
-    fn rate_of(&self, id: FlowId) -> Option<f64>;
-    fn recompute_incremental(&mut self, topo: &Topology, dirty: &[Dirty]);
-    fn flow_ids_vec(&self) -> Vec<FlowId>;
-    fn solver_stats(&self) -> SolverStats;
-}
-
-macro_rules! impl_flow_plane {
-    ($ty:ty) => {
-        impl FlowPlane for $ty {
-            fn start_deferred(
-                &mut self,
-                now: SimTime,
-                spec: FlowSpec,
-                path: Vec<LinkId>,
-                topo: &Topology,
-            ) -> FlowId {
-                <$ty>::start_deferred(self, now, spec, path, topo).expect("valid flow")
-            }
-            fn flush(&mut self, topo: &Topology) {
-                <$ty>::flush(self, topo);
-            }
-            fn stop(&mut self, now: SimTime, id: FlowId, topo: &Topology) {
-                let _ = <$ty>::stop(self, now, id, topo);
-            }
-            fn advance(&mut self, now: SimTime) {
-                <$ty>::advance(self, now);
-            }
-            fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-                <$ty>::next_completion(self)
-            }
-            fn is_complete(&self, id: FlowId) -> bool {
-                <$ty>::is_complete(self, id)
-            }
-            fn rate_of(&self, id: FlowId) -> Option<f64> {
-                <$ty>::rate_of(self, id)
-            }
-            fn recompute_incremental(&mut self, topo: &Topology, dirty: &[Dirty]) {
-                let _ = <$ty>::recompute_incremental(self, topo, dirty);
-            }
-            fn flow_ids_vec(&self) -> Vec<FlowId> {
-                self.flow_ids().collect()
-            }
-            fn solver_stats(&self) -> SolverStats {
-                <$ty>::solver_stats(self)
-            }
-        }
-    };
-}
-
-impl_flow_plane!(FluidNetwork);
-impl_flow_plane!(NaiveFluidNetwork);
-
-struct ReplayOut {
-    stats: SolverStats,
-    wall_secs: f64,
-    /// (flow id, completion ns) in drain order.
-    completions: Vec<(u64, u64)>,
-    /// Final (flow id, rate bps) in ascending-id order.
-    rates: Vec<(u64, f64)>,
-}
-
-fn replay<N: FlowPlane>(
-    net: &mut N,
-    base: &Topology,
-    rails: &[Rail],
-    script: &[TraceOp],
-) -> ReplayOut {
-    let mut topo = base.clone();
-    // Oldest-first per-rail queues; completions remove by id.
-    let mut by_rail: Vec<Vec<FlowId>> = vec![Vec::new(); rails.len()];
-    let mut rail_of: Vec<usize> = Vec::new();
-    let mut completions = Vec::new();
-    let start = std::time::Instant::now();
-    for (i, op) in script.iter().enumerate() {
-        let now = SimTime::from_millis(i as u64 + 1);
-        // Drain completions due before this op, exactly as the runner's
-        // completion events would have fired.
-        while let Some((tc, fid)) = net.next_completion() {
-            if tc > now {
-                break;
-            }
-            net.advance(tc);
-            if !net.is_complete(fid) {
-                continue; // refreshed prediction; re-query
-            }
-            net.stop(tc, fid, &topo);
-            completions.push((fid.0, tc.as_nanos()));
-            let r = rail_of[fid.0 as usize];
-            by_rail[r].retain(|f| *f != fid);
-        }
-        match op {
-            TraceOp::Start {
-                rail,
-                demand,
-                size,
-                key,
-            } => {
-                let r = &rails[*rail];
-                let tuple = tuple_for(*rail, *key);
-                let spec = match size {
-                    Some(bytes) => FlowSpec::transfer(r.a, r.b, tuple, *demand, *bytes),
-                    None => FlowSpec::cbr(r.a, r.b, tuple, *demand),
-                };
-                let fid = net.start_deferred(now, spec, vec![r.link], &topo);
-                net.flush(&topo);
-                by_rail[*rail].push(fid);
-                if fid.0 as usize >= rail_of.len() {
-                    rail_of.resize(fid.0 as usize + 1, usize::MAX);
-                }
-                rail_of[fid.0 as usize] = *rail;
-            }
-            TraceOp::StopOldest { rail } => {
-                if !by_rail[*rail].is_empty() {
-                    let fid = by_rail[*rail].remove(0);
-                    net.stop(now, fid, &topo);
-                }
-            }
-            TraceOp::Flap { rail } => {
-                let lid = rails[*rail].link;
-                let up = !topo.link(lid).up;
-                topo.link_mut(lid).up = up;
-                net.advance(now);
-                net.recompute_incremental(&topo, &[Dirty::Link(lid)]);
-            }
-        }
-    }
-    let wall_secs = start.elapsed().as_secs_f64();
-    let rates = net
-        .flow_ids_vec()
-        .into_iter()
-        .map(|f| (f.0, net.rate_of(f).expect("active")))
-        .collect();
-    ReplayOut {
-        stats: net.solver_stats(),
-        wall_secs,
-        completions,
-        rates,
-    }
-}
-
-/// Asserts the two replays computed the same experiment.
-fn assert_differential(fast: &ReplayOut, naive: &ReplayOut) {
-    assert_eq!(
-        fast.completions.len(),
-        naive.completions.len(),
-        "completion counts diverge"
-    );
-    for (i, (f, n)) in fast.completions.iter().zip(&naive.completions).enumerate() {
-        assert_eq!(f.0, n.0, "completion #{i}: different flow");
-        assert!(
-            f.1.abs_diff(n.1) <= 1_000,
-            "completion #{i} (flow {}): {} ns vs {} ns",
-            f.0,
-            f.1,
-            n.1
-        );
-    }
-    assert_eq!(fast.rates.len(), naive.rates.len(), "active sets diverge");
-    for ((fid, fr), (nid, nr)) in fast.rates.iter().zip(&naive.rates) {
-        assert_eq!(fid, nid, "active sets diverge");
-        assert!((fr - nr).abs() < 1.0, "flow {fid}: {fr} bps vs {nr} bps");
-    }
-    // Identical logical work: the closures, seeds and solve counts must
-    // match exactly — only the bookkeeping shape differs.
-    let (f, n) = (&fast.stats, &naive.stats);
-    assert_eq!(f.solves, n.solves, "solve counts diverge");
-    assert_eq!(f.full_solves, n.full_solves, "full-solve counts diverge");
-    assert_eq!(f.seed_dlinks, n.seed_dlinks, "seed sets diverge");
-    assert_eq!(f.flows_touched, n.flows_touched, "closures diverge");
-    assert_eq!(f.links_touched, n.links_touched, "closures diverge");
-}
-
-// ---------------------------------------------------------------------
-// Phase 1: concurrent-flow scaling curve (arena shape)
-// ---------------------------------------------------------------------
 
 struct CurveRow {
     flows: usize,
@@ -497,14 +243,12 @@ fn parse_args() -> (usize, usize) {
 
 fn main() {
     let cfg = RunConfig::from_env();
-    let (churn_ops, max_flows) = parse_args();
+    let (_churn_ops, max_flows) = parse_args();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let run_threads = cfg.run_threads();
 
-    println!("== Flow scale: arena flow plane vs map-keyed oracle ==");
-
-    // ---- Phase 1: concurrent-flow curve (runs first for clean RSS) ----
-    println!("phase 1: run_threads={run_threads} (HORSE_RUN_THREADS), cores={cores}");
+    println!("== Flow scale: arena flow plane, concurrent-flow curve ==");
+    println!("run_threads={run_threads} (HORSE_RUN_THREADS), cores={cores}");
     println!(
         "{:>8} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9}",
         "flows", "rails", "setup (s)", "churn (s)", "ev/s", "stale", "settles", "par", "rss MiB"
@@ -539,87 +283,6 @@ fn main() {
         println!("  note: /proc/self/clear_refs reset unavailable; rss is lifetime peak");
     }
 
-    // ---- Phase 2: differential replay, oracle vs arena ----
-    let n_rails = 16;
-    let (topo, rails) = rails_topo(n_rails);
-    let script = build_script(n_rails, churn_ops);
-
-    // Thread-count invariance first: serial and sharded arena replays
-    // must agree bitwise on every allocation.
-    let mut serial_net = FluidNetwork::new();
-    let serial = replay(&mut serial_net, &topo, &rails, &script);
-    if run_threads > 1 {
-        let mut par_net = FluidNetwork::new();
-        par_net.set_run_threads(run_threads);
-        let par = replay(&mut par_net, &topo, &rails, &script);
-        assert_eq!(
-            serial.completions, par.completions,
-            "thread count changed completions"
-        );
-        for ((fid, sr), (pid, pr)) in serial.rates.iter().zip(&par.rates) {
-            assert_eq!(fid, pid);
-            assert_eq!(
-                sr.to_bits(),
-                pr.to_bits(),
-                "flow {fid}: rate not bitwise thread-invariant"
-            );
-        }
-    }
-
-    // Interleaved min-wall pairs reject scheduler bursts.
-    let mut fast_wall = f64::INFINITY;
-    let mut naive_wall = f64::INFINITY;
-    let mut fast_out = None;
-    let mut naive_out = None;
-    for _ in 0..2 {
-        let mut fnet = FluidNetwork::new();
-        fnet.set_run_threads(run_threads);
-        let f = replay(&mut fnet, &topo, &rails, &script);
-        let mut nnet = NaiveFluidNetwork::new();
-        let n = replay(&mut nnet, &topo, &rails, &script);
-        fast_wall = fast_wall.min(f.wall_secs);
-        naive_wall = naive_wall.min(n.wall_secs);
-        fast_out = Some(f);
-        naive_out = Some(n);
-    }
-    let fast = fast_out.expect("ran");
-    let naive = naive_out.expect("ran");
-    assert_differential(&fast, &naive);
-
-    let fast_work = fast.stats.advance_touches + fast.stats.completion_visits;
-    let naive_work = naive.stats.advance_touches + naive.stats.completion_visits;
-    let work_ratio = naive_work as f64 / fast_work.max(1) as f64;
-    let wall_ratio = naive_wall / fast_wall.max(1e-9);
-
-    println!();
-    println!(
-        "phase 2: {n_rails} rails, {churn_ops} ops, {} completions, {} final flows",
-        fast.completions.len(),
-        fast.rates.len()
-    );
-    println!(
-        "  fast (arena):   {:>8.2} ms   accrual {:>9}  completion-visits {:>9}",
-        fast_wall * 1e3,
-        fast.stats.advance_touches,
-        fast.stats.completion_visits
-    );
-    println!(
-        "  oracle (maps):  {:>8.2} ms   accrual {:>9}  completion-visits {:>9}",
-        naive_wall * 1e3,
-        naive.stats.advance_touches,
-        naive.stats.completion_visits
-    );
-    println!("  per-event work ratio (oracle/arena): {work_ratio:.1}x");
-    println!("  wall ratio (oracle/arena): {wall_ratio:.2}x");
-    if cores == 1 {
-        println!("  note: single-core host; wall numbers carry scheduler noise");
-    }
-    assert!(
-        work_ratio >= 3.0,
-        "expected >=3x less per-event flow-plane work, got {work_ratio:.2}x"
-    );
-
-    let gate_applied = cfg.flow_min_speedup.is_some() && cores > 1;
     let mut rows_json = String::from("[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -642,33 +305,9 @@ fn main() {
         );
     }
     rows_json.push(']');
-    let gate_json = match cfg.flow_min_speedup {
-        Some(min) => format!("{min}"),
-        None => "null".into(),
-    };
     let json = format!(
         "{{\n  \"cores\": {cores},\n  \"run_threads\": {run_threads},\n  \
-         \"flow_min_speedup\": {gate_json},\n  \"gate_applied\": {gate_applied},\n  \
-         \"differential\": {{\"rails\": {n_rails}, \"ops\": {churn_ops}, \
-         \"completions\": {}, \"final_flows\": {}, \
-         \"fast_wall_secs\": {fast_wall}, \"naive_wall_secs\": {naive_wall}, \
-         \"wall_ratio\": {wall_ratio}, \"work_ratio\": {work_ratio}, \
-         \"fast\": {}, \"naive\": {}}},\n  \"rows\": {rows_json}\n}}\n",
-        fast.completions.len(),
-        fast.rates.len(),
-        stats_json(&fast.stats),
-        stats_json(&naive.stats),
+         \"rows\": {rows_json}\n}}\n"
     );
     horse_bench::write_result("flow_scale.json", &json);
-
-    if let Some(min) = cfg.flow_min_speedup {
-        if gate_applied {
-            assert!(
-                wall_ratio >= min,
-                "flow-plane speedup {wall_ratio:.2}x below HORSE_FLOW_MIN_SPEEDUP={min}"
-            );
-        } else {
-            println!("  HORSE_FLOW_MIN_SPEEDUP={min} skipped: cores={cores} (must be > 1)");
-        }
-    }
 }

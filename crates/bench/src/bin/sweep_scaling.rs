@@ -8,13 +8,12 @@
 //!
 //! Speedup is machine-dependent — on a single-core container every rung
 //! collapses to ~1×, which the recorded `cores` field makes explicit.
-//! Set `HORSE_SWEEP_MIN_SPEEDUP=<x>` to make the harness fail unless the
-//! best rung reaches `x`× (useful on known multi-core CI runners).
+//! The rungs are a record, not a gate: wall time is asserted only by
+//! `benchmark/` (its `zoo_sweep` workload records `sweep.pool.speedup_2w`).
 //!
 //! Run: `cargo run --release -p horse-bench --bin sweep_scaling -- \
 //!       [duration_s] [pods...]`   (defaults: 10 s, pods 4 6 8)
 
-use horse_core::RunConfig;
 use horse_stats::json_f64;
 use horse_sweep::SweepPlan;
 use std::fmt::Write as _;
@@ -22,7 +21,6 @@ use std::fmt::Write as _;
 const WORKER_RUNGS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
-    let cfg = RunConfig::from_env();
     let (duration, pods) =
         horse_bench::duration_then_pods("sweep_scaling [duration_s] [pods…]", 10.0, &[4, 6, 8]);
     let cores = std::thread::available_parallelism()
@@ -110,13 +108,4 @@ fn main() {
     );
     let _ = write!(json, "  \"rows\": {rows}\n}}\n");
     horse_bench::write_result("sweep_scaling.json", &json);
-
-    if let Some(min) = cfg.sweep_min_speedup {
-        assert!(
-            best_speedup >= min,
-            "best speedup {best_speedup:.2}x below required {min}x \
-             (machine has {cores} cores)"
-        );
-        println!("speedup gate passed: {best_speedup:.2}x >= {min}x");
-    }
 }

@@ -1,14 +1,26 @@
 //! # horse-bench — figure-reproduction harnesses
 //!
-//! One binary per paper artifact (see DESIGN.md §4):
+//! One binary per artifact (ids as in DESIGN.md §4):
 //!
 //! | Binary | Artifact |
 //! |---|---|
-//! | `fig1_modes` | Figure 1 — DES↔FTI transitions, two BGP routers |
-//! | `fig3_execution_time` | Figure 3 — Horse vs Mininet execution time, fat-trees k = 4/6/8 |
-//! | `demo_goodput` | In-demo goodput graph — aggregate arrival rate per TE approach |
+//! | `fig1_modes` | F1 — Figure 1, DES↔FTI transitions, two BGP routers |
+//! | `fig3_execution_time` | F3 — Figure 3, Horse vs Mininet execution time, fat-trees k = 4/6/8 |
+//! | `demo_goodput` | G1 — in-demo goodput graph, aggregate arrival rate per TE approach |
 //! | `ablation_fti` | A1/A2 — FTI increment & quiescence sweeps |
 //! | `ablation_fluid` | A3 — fluid vs packet-level data plane |
+//! | `ablation_mrai` | A4 — BGP MRAI timer, convergence latency vs message count |
+//! | `scaling` | X1 — fat-trees past the paper's 8 pods |
+//! | `fct_workload` | X2 — flow-level workloads, FCT distributions |
+//! | `sweep_scaling` | X3 — the fig3 suite at 1/2/4/8 sweep workers |
+//! | `table_scale` | X4 — PoP WANs of 100/250/1000 routers × up to 100k prefixes |
+//! | `flow_scale` | X5 — 10k→100k concurrent flows on the arena flow plane |
+//! | `zoo_policy` | X6 — Topology Zoo × BGP-policy corpus sweep |
+//! | `sweep_resume` | checkpoint/resume smoke harness (CI `resume-smoke`) |
+//!
+//! These bins *record*; none asserts a wall-clock bound. Performance is
+//! gated in one place, the repo benchmark under `benchmark/` (DESIGN.md
+//! "Where performance is asserted").
 //!
 //! plus `benches/micro.rs`, the Criterion micro-benchmarks over the hot
 //! data structures.
@@ -78,7 +90,7 @@ pub fn pool_envelope(stats: &SweepStats, runs: &[(String, usize, f64)], rows: &s
 // ---------------------------------------------------------------------------
 // Shared argv parsing
 //
-// Every bin speaks one of three tiny positional grammars; the parsers
+// Every bin speaks one of a few tiny positional grammars; the parsers
 // below replace the per-bin `parse().unwrap()` copies so a typo'd
 // argument produces the same `error: …` + `usage: …` on stderr and
 // exit status 2 everywhere, instead of a raw panic backtrace.
@@ -105,28 +117,12 @@ pub fn try_duration_then_pods(
     Ok((duration, parse_pods(args, default_pods)?))
 }
 
-/// Parses `[pods…]` — zero or more pod counts (`scaling`,
-/// `pump_scaling`).
+/// Parses `[pods…]` — zero or more pod counts (`scaling`).
 pub fn try_pods_list(
     args: impl Iterator<Item = String>,
     default_pods: &[usize],
 ) -> Result<Vec<usize>, String> {
     parse_pods(args, default_pods)
-}
-
-/// Parses `[k]` — at most one pod count (`rib_churn`, `solver_churn`).
-pub fn try_single_k(
-    mut args: impl Iterator<Item = String>,
-    default_k: usize,
-) -> Result<usize, String> {
-    let k = match args.next() {
-        None => default_k,
-        Some(a) => parse_pod_count(&a)?,
-    };
-    if let Some(extra) = args.next() {
-        return Err(format!("unexpected extra argument {extra:?}"));
-    }
-    Ok(k)
 }
 
 /// Parses `[k] [prefix_count]` — an optional pod count then an optional
@@ -208,11 +204,6 @@ pub fn pods_list(usage: &str, default_pods: &[usize]) -> Vec<usize> {
     try_pods_list(std::env::args().skip(1), default_pods).unwrap_or_else(|e| usage_exit(usage, &e))
 }
 
-/// [`try_single_k`] over the real argv; exits 2 on failure.
-pub fn single_k(usage: &str, default_k: usize) -> usize {
-    try_single_k(std::env::args().skip(1), default_k).unwrap_or_else(|e| usage_exit(usage, &e))
-}
-
 /// [`try_k_then_prefixes`] over the real argv; exits 2 on failure.
 pub fn k_then_prefixes(usage: &str, default_k: usize, default_prefixes: usize) -> (usize, usize) {
     try_k_then_prefixes(std::env::args().skip(1), default_k, default_prefixes)
@@ -276,8 +267,6 @@ mod tests {
         assert!(e.contains("invalid pod count \"nope\""), "{e}");
         let e = try_pods_list(argv(&["7"]), &[4]).unwrap_err();
         assert!(e.contains("even k"), "{e}");
-        let e = try_single_k(argv(&["8", "10"]), 8).unwrap_err();
-        assert!(e.contains("unexpected extra argument \"10\""), "{e}");
         let e = try_k_then_prefixes(argv(&["8", "lots"]), 8, 1000).unwrap_err();
         assert!(e.contains("invalid prefix count \"lots\""), "{e}");
         let e = try_k_then_prefixes(argv(&["8", "0"]), 8, 1000).unwrap_err();
@@ -299,11 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn pods_and_single_k_parse() {
+    fn pods_list_parses() {
         assert_eq!(try_pods_list(argv(&[]), &[4, 8]), Ok(vec![4, 8]));
         assert_eq!(try_pods_list(argv(&["12"]), &[4, 8]), Ok(vec![12]));
-        assert_eq!(try_single_k(argv(&[]), 8), Ok(8));
-        assert_eq!(try_single_k(argv(&["6"]), 8), Ok(6));
     }
 
     #[test]

@@ -26,16 +26,12 @@
 //!   AS-path regex-lite matches; local-pref / MED / community / prepend
 //!   sets) and the Gao-Rexford role compiler. Evaluated at exactly two
 //!   choke points: RIB ingest and speaker export.
-//! * [`naive`] — the pre-index RIB kept as a reference model for
-//!   differential tests and the `rib_churn` bench baseline.
-//! * [`btree`] — the address-keyed (`BTreeMap`) indexed RIB preserved as
-//!   the pre-compact-id reference model and the `table_scale` bench
-//!   baseline.
+//! * [`naive`] — the pre-index RIB, the one reference model
+//!   `tests/prop_rib_differential.rs` compares [`rib::LocRib`] against.
 //! * [`speaker`] — ties sessions and RIBs together: originates local
 //!   networks, floods UPDATEs with split-horizon and AS-path loop
 //!   prevention, and reports effective next-hop sets per prefix.
 
-pub mod btree;
 pub mod msg;
 pub mod naive;
 pub mod policy;
@@ -43,7 +39,6 @@ pub mod rib;
 pub mod session;
 pub mod speaker;
 
-pub use btree::BtreeRib;
 pub use msg::{Capability, Message, Notification, OpenMsg, Origin, PathAttributes, UpdateMsg};
 pub use policy::{
     gao_rexford_policy, AsPathRegex, PeerPolicy, PeerRole, PolicyAction, PolicyVerdict,

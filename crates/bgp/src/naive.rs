@@ -4,54 +4,17 @@
 //! route-churn fast path (attribute interning, inverted candidate index,
 //! memoized decisions): deep-cloned [`PathAttributes`] per (prefix, path),
 //! a per-peer probe loop in [`NaiveRib::decide`], and no memoization. It is
-//! **not** used by the speaker — it exists so that
-//!
-//! * the differential proptest (`tests/prop_rib_differential.rs`) can drive
-//!   randomized announce/withdraw/flap sequences through both models and
-//!   assert identical decisions and affected-sets, and
-//! * the `rib_churn` bench can replay a recorded convergence trace against
-//!   the old cost model with honest work counters (the same role
-//!   `PumpMode::FullPoll` plays for the readiness pump).
-//!
-//! Work counters live in [`NaiveStats`] and are tracked with `Cell`s so the
-//! read path keeps the original `&self` signatures (and the original
-//! allocation behavior — counting must not distort wall-clock timings).
+//! **not** used by the speaker — it exists so that the differential
+//! proptest (`tests/prop_rib_differential.rs`) can drive randomized
+//! announce/withdraw/flap sequences through both models and assert
+//! identical decisions and affected-sets. It is the one reference
+//! [`crate::rib::LocRib`] is compared against (the same role
+//! `PumpMode::FullPoll` plays for the readiness pump).
 
 use crate::msg::{Origin, PathAttributes, UpdateMsg};
 use horse_net::addr::Ipv4Prefix;
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-
-/// Work counters for the naive model, in the same units the indexed RIB's
-/// [`crate::rib::RibStats`] counts: every `decide` call, every candidate
-/// examined, and — where the old code deep-copied attributes — the size of
-/// each copy in "clone units" (1 + ASNs in the path + unknown attrs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NaiveStats {
-    /// Decision-process invocations (never cached here).
-    pub decide_calls: u64,
-    /// Candidates gathered across all decides.
-    pub candidate_touches: u64,
-    /// Deep-copy cost of `PathAttributes` clones (adj-in ingest plus
-    /// whatever the caller reports via [`NaiveRib::add_clone_units`]).
-    pub attr_clone_units: u64,
-    /// Per-peer table entries visited by `prefixes()` union rebuilds.
-    pub union_work: u64,
-}
-
-impl NaiveStats {
-    /// Decision-process work, comparable to
-    /// [`crate::rib::RibStats::decision_work`].
-    pub fn decision_work(&self) -> u64 {
-        self.decide_calls + self.candidate_touches
-    }
-}
-
-/// Deep-copy cost of one attribute set, in clone units.
-pub fn clone_units(attrs: &PathAttributes) -> u64 {
-    1 + attrs.as_path_len() as u64 + attrs.unknown.len() as u64
-}
 
 /// A candidate path for a prefix (owned, deep-cloned attributes).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,10 +71,6 @@ pub struct NaiveRib {
     multipath: bool,
     adj_in: BTreeMap<Ipv4Addr, BTreeMap<Ipv4Prefix, NaivePath>>,
     local: BTreeMap<Ipv4Prefix, NaivePath>,
-    decide_calls: Cell<u64>,
-    candidate_touches: Cell<u64>,
-    attr_clone_units: Cell<u64>,
-    union_work: Cell<u64>,
 }
 
 impl NaiveRib {
@@ -122,24 +81,6 @@ impl NaiveRib {
             multipath,
             ..NaiveRib::default()
         }
-    }
-
-    /// Snapshot of the work counters.
-    pub fn stats(&self) -> NaiveStats {
-        NaiveStats {
-            decide_calls: self.decide_calls.get(),
-            candidate_touches: self.candidate_touches.get(),
-            attr_clone_units: self.attr_clone_units.get(),
-            union_work: self.union_work.get(),
-        }
-    }
-
-    /// Reports deep-copy cost incurred *outside* the RIB (the old export
-    /// path cloned attributes per advertised prefix; the bench's replica of
-    /// that read pattern accounts for it here).
-    pub fn add_clone_units(&self, units: u64) {
-        self.attr_clone_units
-            .set(self.attr_clone_units.get() + units);
     }
 
     /// Originates a local network.
@@ -176,10 +117,6 @@ impl NaiveRib {
                     }
                     continue;
                 }
-                // The old ingest deep-cloned the attributes once per NLRI
-                // prefix (plus once more for the comparison copy).
-                self.attr_clone_units
-                    .set(self.attr_clone_units.get() + clone_units(attrs));
                 let path = NaivePath {
                     attrs: (**attrs).clone(),
                     peer,
@@ -207,18 +144,14 @@ impl NaiveRib {
     /// rebuild over every per-peer table.
     pub fn prefixes(&self) -> BTreeSet<Ipv4Prefix> {
         let mut out: BTreeSet<Ipv4Prefix> = self.local.keys().copied().collect();
-        let mut visited = self.local.len() as u64;
         for t in self.adj_in.values() {
-            visited += t.len() as u64;
             out.extend(t.keys().copied());
         }
-        self.union_work.set(self.union_work.get() + visited);
         out
     }
 
     /// Runs the decision process for `prefix` — the per-peer probe loop.
     pub fn decide(&self, prefix: Ipv4Prefix) -> Option<NaiveDecision<'_>> {
-        self.decide_calls.set(self.decide_calls.get() + 1);
         let mut candidates: Vec<&NaivePath> = Vec::new();
         if let Some(l) = self.local.get(&prefix) {
             candidates.push(l);
@@ -228,8 +161,6 @@ impl NaiveRib {
                 candidates.push(p);
             }
         }
-        self.candidate_touches
-            .set(self.candidate_touches.get() + candidates.len() as u64);
         if candidates.is_empty() {
             return None;
         }

@@ -52,10 +52,10 @@
 //! determinism-sensitive consumer (affected-sets, the live prefix index)
 //! therefore returns id slices sorted by *value* via the interner's
 //! monotone sort key, so downstream iteration order — and hence wire
-//! bytes — is identical to the address-keyed implementation. That
-//! implementation survives as [`crate::btree::BtreeRib`] (and the
-//! pre-PR 4 model as [`crate::naive`]); the three are driven in lockstep
-//! by `tests/prop_rib_differential.rs`.
+//! bytes — is identical to the address-keyed implementations that came
+//! before. The pre-index one survives as [`crate::naive`], the single
+//! reference model `tests/prop_rib_differential.rs` drives in lockstep
+//! with this one.
 
 use crate::msg::{Origin, PathAttributes, UpdateMsg};
 use horse_net::addr::Ipv4Prefix;
@@ -120,44 +120,25 @@ impl AttrSrc<'_> {
 
 /// Hash-consing store for [`PathAttributes`].
 ///
-/// `intern` returns the id of the canonical entry, creating one only for a
-/// never-seen attribute set. The index maps the attribute set's
-/// [`fast_hash`] to the newest entry with that hash (older ones chain
-/// through `AttrMeta::same_hash`), so a caller that already computed the
-/// hash — the pool probing under the read lock, then again under the write
-/// lock — never hashes the set a second time, and lookups never allocate.
+/// Interning (through [`AttrPool`]) returns the id of the canonical entry,
+/// creating one only for a never-seen attribute set. The index maps the
+/// attribute set's [`fast_hash`] to the newest entry with that hash (older
+/// ones chain through `AttrMeta::same_hash`), so a caller that already
+/// computed the hash — the pool probing under the read lock, then again
+/// under the write lock — never hashes the set a second time, and lookups
+/// never allocate.
 #[derive(Debug, Clone, Default)]
 pub struct AttrStore {
     ids: FastMap<u64, AttrId>,
     metas: Vec<AttrMeta>,
-    /// Distinct sets created (cache misses).
-    interns: u64,
-    /// Deep clones avoided (cache hits).
-    reuses: u64,
 }
 
 impl AttrStore {
-    /// Interns a shared attribute set, reusing the caller's allocation on a
-    /// miss.
-    pub fn intern(&mut self, attrs: &Arc<PathAttributes>) -> AttrId {
-        self.intern_hashed(fast_hash(&**attrs), AttrSrc::Shared(attrs))
-            .0
-    }
-
-    /// Interns an owned attribute set (allocates the `Arc` only on a miss).
-    pub fn intern_owned(&mut self, attrs: PathAttributes) -> AttrId {
-        self.intern_hashed(fast_hash(&attrs), AttrSrc::Owned(attrs))
-            .0
-    }
-
     /// Probe-then-insert with a hash the caller already computed; the
     /// `bool` is true when this call created the entry.
     fn intern_hashed(&mut self, hash: u64, src: AttrSrc<'_>) -> (AttrId, bool) {
         match self.find(hash, src.get()) {
-            Some(id) => {
-                self.reuses += 1;
-                (id, false)
-            }
+            Some(id) => (id, false),
             None => (self.insert_new(hash, src.into_shared()), true),
         }
     }
@@ -177,7 +158,6 @@ impl AttrStore {
 
     fn insert_new(&mut self, hash: u64, attrs: Arc<PathAttributes>) -> AttrId {
         let id = AttrId(self.metas.len() as u32);
-        self.interns += 1;
         let meta = AttrMeta {
             local_pref: attrs.local_pref.unwrap_or(100),
             path_len: attrs.as_path_len() as u32,
@@ -209,11 +189,6 @@ impl AttrStore {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.metas.is_empty()
-    }
-
-    /// `(interns, reuses)` — distinct sets created vs deep clones avoided.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.interns, self.reuses)
     }
 
     /// Rough heap footprint of the store: canonical attribute allocations
@@ -390,13 +365,6 @@ impl RibStats {
         self.attr_store_size += other.attr_store_size;
         self.export_cache_hits += other.export_cache_hits;
         self.export_cache_misses += other.export_cache_misses;
-    }
-
-    /// Decision-process work: every decide call costs at least its map
-    /// probe, and each recompute additionally walks its candidates. The
-    /// `rib_churn` bench compares this figure against the naive model's.
-    pub fn decision_work(&self) -> u64 {
-        self.decide_calls + self.candidate_touches
     }
 }
 

@@ -1,7 +1,6 @@
 //! Differential property test: the compact-id [`LocRib`] must be
-//! observationally identical to BOTH reference models — the address-keyed
-//! indexed RIB ([`BtreeRib`], the pre-compact-id shape) and the pre-index
-//! [`NaiveRib`] — under arbitrary operation sequences.
+//! observationally identical to its one reference model, the pre-index
+//! [`NaiveRib`], under arbitrary operation sequences.
 //!
 //! Every operation's affected-set is compared (the compact-id RIB returns
 //! value-sorted `PrefixId` slices, mapped back through its interner), and
@@ -13,7 +12,7 @@
 
 use horse_bgp::msg::{AsPathSegment, Origin, PathAttributes, UpdateMsg};
 use horse_bgp::naive::{NaiveDecision, NaiveRib};
-use horse_bgp::{BtreeRib, Decision, LocRib};
+use horse_bgp::{Decision, LocRib};
 use horse_net::addr::Ipv4Prefix;
 use horse_net::intern::PrefixId;
 use proptest::prelude::*;
@@ -28,7 +27,7 @@ const LOCAL_AS: u16 = 64512;
 /// session property, as it is in the speaker.
 fn peer(idx: usize) -> (Ipv4Addr, bool) {
     let addr = Ipv4Addr::new(192, 0, 2, (idx as u8 % 4) + 1);
-    (addr, idx % 2 == 0)
+    (addr, idx.is_multiple_of(2))
 }
 
 fn prefix(idx: usize) -> Ipv4Prefix {
@@ -159,13 +158,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
-    fn compact_rib_matches_both_reference_models(
+    fn compact_rib_matches_reference_model(
         pool in prop::collection::vec(attrs(), 5),
         multipath in any::<bool>(),
         script in ops(),
     ) {
         let mut fast = LocRib::new(LOCAL_AS, multipath);
-        let mut btree = BtreeRib::new(LOCAL_AS, multipath);
         let mut naive = NaiveRib::new(LOCAL_AS, multipath);
 
         for op in &script {
@@ -178,54 +176,44 @@ proptest! {
                         nlri: nlri.iter().map(|i| prefix(*i)).collect(),
                     };
                     let af = fast.update_from_peer(addr, ebgp, &update);
-                    let ab = btree.update_from_peer(addr, ebgp, &update);
                     let an = naive.update_from_peer(addr, ebgp, &update);
                     let af = values_of(&fast, &af);
-                    prop_assert_eq!(&af, &ab, "affected sets diverge (btree) on {:?}", op);
-                    prop_assert_eq!(af, an, "affected sets diverge (naive) on {:?}", op);
+                    prop_assert_eq!(af, an, "affected sets diverge on {:?}", op);
                 }
                 Op::DropPeer { peer: pi } => {
                     let (addr, _) = peer(*pi);
                     let af = fast.drop_peer(addr);
-                    let ab = btree.drop_peer(addr);
                     let an = naive.drop_peer(addr);
                     let af = values_of(&fast, &af);
-                    prop_assert_eq!(&af, &ab, "drop_peer affected sets diverge (btree)");
-                    prop_assert_eq!(af, an, "drop_peer affected sets diverge (naive)");
+                    prop_assert_eq!(af, an, "drop_peer affected sets diverge");
                 }
                 Op::Originate { prefix: qi, next_hop } => {
                     let nh = Ipv4Addr::new(10, 99, 0, (*next_hop as u8) + 1);
                     let id = fast.originate(prefix(*qi), nh);
                     prop_assert_eq!(fast.prefix_value(id), prefix(*qi));
-                    btree.originate(prefix(*qi), nh);
                     naive.originate(prefix(*qi), nh);
                 }
                 Op::WithdrawLocal { prefix: qi } => {
                     let wf = fast.withdraw_local(prefix(*qi));
-                    let wb = btree.withdraw_local(prefix(*qi));
                     let wn = naive.withdraw_local(prefix(*qi));
                     if let Some(id) = wf {
                         prop_assert_eq!(fast.prefix_value(id), prefix(*qi));
                     }
-                    prop_assert_eq!(wf.is_some(), wb, "withdraw_local diverges (btree)");
-                    prop_assert_eq!(wf.is_some(), wn, "withdraw_local diverges (naive)");
+                    prop_assert_eq!(wf.is_some(), wn, "withdraw_local diverges");
                 }
             }
 
             // Full observable surface after every operation.
-            prop_assert_eq!(fast.prefixes(), btree.prefixes());
-            prop_assert_eq!(fast.prefixes(), naive.prefixes());
-            prop_assert_eq!(fast.prefix_count(), btree.prefix_count());
+            let live = naive.prefixes();
+            prop_assert_eq!(fast.prefix_count(), live.len());
+            prop_assert_eq!(fast.prefixes(), live);
             for qi in 0..6 {
                 let p = prefix(qi);
                 let df = fast.decide(p).map(|d| flatten_fast(&d));
-                let db = btree.decide(p).map(|d| flatten_fast(&d));
                 let dn = naive
                     .decide(p)
                     .map(|d| flatten_naive(&d, naive.next_hops(p)));
-                prop_assert_eq!(&df, &db, "decision diverges (btree) for {:?} after {:?}", p, op);
-                prop_assert_eq!(df, dn, "decision diverges (naive) for {:?} after {:?}", p, op);
-                prop_assert_eq!(fast.next_hops(p), btree.next_hops(p));
+                prop_assert_eq!(df, dn, "decision diverges for {:?} after {:?}", p, op);
                 prop_assert_eq!(fast.next_hops(p), naive.next_hops(p));
             }
         }

@@ -27,7 +27,7 @@ pub mod report;
 pub mod runner;
 pub mod workload;
 
-pub use config::RunConfig;
+pub use config::{ConfigError, RunConfig};
 pub use control::{ControlPlane, PumpMode, PumpStats, SdnApp};
 pub use experiment::{ControlBuild, Experiment, TeApproach, TrafficEvent};
 pub use report::ExperimentReport;

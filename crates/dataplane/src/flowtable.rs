@@ -879,8 +879,10 @@ mod tests {
         idle.idle_timeout = SimDuration::from_secs(5);
         t.add(idle, SimTime::from_secs(1));
         assert_eq!(t.next_expiry(), Some(SimTime::from_secs(6)));
-        let mut hard = Match::default();
-        hard.tp_dst = Some(99);
+        let hard = Match {
+            tp_dst: Some(99),
+            ..Match::default()
+        };
         let mut hard_e = FlowEntry::new(hard, 3, vec![Action::Drop]);
         hard_e.hard_timeout = SimDuration::from_secs(3);
         t.add(hard_e, SimTime::from_secs(1));

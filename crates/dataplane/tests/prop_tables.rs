@@ -367,7 +367,7 @@ proptest! {
             (0, TableOp::Add { matcher, priority, idle_s: 0, hard_s: 0 })
         });
         for (step, op) in initial.chain(ops) {
-            now = now + SimDuration::from_millis(500 * step);
+            now += SimDuration::from_millis(500 * step);
             match op {
                 TableOp::Add { matcher, priority, idle_s, hard_s } => {
                     cookie += 1;

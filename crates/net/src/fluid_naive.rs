@@ -1,22 +1,18 @@
-//! The pre-arena fluid solver, preserved verbatim as a differential oracle.
+//! The pre-arena fluid solver, preserved as a differential oracle.
 //!
 //! This is the flow plane as it stood before the arena/lazy-accrual
 //! refactor of [`crate::fluid::FluidNetwork`]: flows keyed in a
 //! `BTreeMap`, link membership in `HashMap<DirLink, BTreeSet<FlowId>>`,
 //! eager per-flow byte accrual in `advance`, and a full scan of every
-//! bounded flow in `next_completion`. It is kept as a separate type (the
-//! PR 4/7 `naive`/`BtreeRib` pattern) so property tests and the
-//! `flow_scale` bench can replay identical flow-churn traces through both
-//! shapes and assert identical rate allocations while counting how much
-//! per-event work each shape does.
-//!
-//! The only deliberate deviations from the historical code are the
-//! effort counters (`advance_touches`, `completion_visits`,
-//! `seed_dlinks`) and `next_completion` taking `&mut self` so it can
-//! count its scan — the arithmetic is untouched.
+//! bounded flow in `next_completion`. It is kept as a separate type so
+//! `tests/prop_fluid.rs` can replay identical flow-churn scripts through
+//! both shapes and assert identical rate allocations, accrued bytes and
+//! completion schedules — the one reference the arena solver is compared
+//! against. Only the surface that test drives is kept; the arithmetic is
+//! untouched.
 
-use crate::flow::{FiveTuple, FlowId, FlowSpec};
-use crate::fluid::{DirLink, Dirty, FlowProgress, FluidError, RateChange, SolverStats};
+use crate::flow::{FlowId, FlowSpec};
+use crate::fluid::{DirLink, Dirty, FlowProgress, FluidError, RateChange};
 use crate::topology::{LinkId, NodeId, Topology};
 use horse_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -78,8 +74,6 @@ pub struct NaiveFluidNetwork {
     /// Directed link → flows traversing it. Structural (includes blocked
     /// and zero-demand flows).
     link_members: HashMap<DirLink, BTreeSet<FlowId>>,
-    /// Five-tuple → flow id, for the controller stats path.
-    by_tuple: HashMap<FiveTuple, FlowId>,
     /// Directed links touched by deferred (batched) operations, awaiting
     /// [`NaiveFluidNetwork::flush`].
     pending_seeds: Vec<DirLink>,
@@ -87,33 +81,12 @@ pub struct NaiveFluidNetwork {
     /// constrained links (granted rates), reported at the next flush.
     pending_changes: Vec<RateChange>,
     arena: SolverArena,
-    stats: SolverStats,
 }
 
 impl NaiveFluidNetwork {
     /// An empty fluid network.
     pub fn new() -> NaiveFluidNetwork {
         NaiveFluidNetwork::default()
-    }
-
-    /// Number of active flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Active flow ids, in id order.
-    pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.flows.keys().copied()
-    }
-
-    /// The spec a flow was started with.
-    pub fn spec(&self, id: FlowId) -> Option<&FlowSpec> {
-        self.flows.get(&id).map(|f| &f.spec)
-    }
-
-    /// The path a flow currently uses.
-    pub fn path(&self, id: FlowId) -> Option<&[LinkId]> {
-        self.flows.get(&id).map(|f| f.path.as_slice())
     }
 
     /// Current rate of a flow, bits/s.
@@ -132,21 +105,6 @@ impl NaiveFluidNetwork {
                 .size_bytes
                 .map(|total| (total as f64 - f.bytes_sent).max(0.0)),
         })
-    }
-
-    /// The flow currently carrying this five-tuple, if any.
-    pub fn flow_by_tuple(&self, tuple: &FiveTuple) -> Option<FlowId> {
-        self.by_tuple.get(tuple).copied()
-    }
-
-    /// Cumulative solver-effort counters.
-    pub fn solver_stats(&self) -> SolverStats {
-        self.stats
-    }
-
-    /// Zeroes the solver-effort counters (for benchmarking windows).
-    pub fn reset_solver_stats(&mut self) {
-        self.stats = SolverStats::default();
     }
 
     /// The rate a flow gets without solving: demand for zero-demand or
@@ -179,7 +137,6 @@ impl NaiveFluidNetwork {
         for d in &dlinks {
             self.link_members.entry(*d).or_default().insert(id);
         }
-        self.by_tuple.insert(spec.tuple, id);
         let rate_bps = Self::granted_rate(&spec, &dlinks).unwrap_or(0.0);
         if rate_bps > EPS {
             self.pending_changes.push(RateChange {
@@ -203,7 +160,7 @@ impl NaiveFluidNetwork {
         Ok(id)
     }
 
-    /// Removes a flow from the member index and the tuple index.
+    /// Removes a flow from the member index.
     fn unindex_flow(&mut self, id: FlowId, flow: &ActiveFlow) {
         for d in &flow.dlinks {
             if let Some(members) = self.link_members.get_mut(d) {
@@ -213,22 +170,6 @@ impl NaiveFluidNetwork {
                 }
             }
         }
-        if self.by_tuple.get(&flow.spec.tuple) == Some(&id) {
-            self.by_tuple.remove(&flow.spec.tuple);
-        }
-    }
-
-    /// Starts a flow on the given path and re-solves incrementally.
-    pub fn start(
-        &mut self,
-        now: SimTime,
-        spec: FlowSpec,
-        path: Vec<LinkId>,
-        topo: &Topology,
-    ) -> Result<(FlowId, Vec<RateChange>), FluidError> {
-        let id = self.start_deferred(now, spec, path, topo)?;
-        let changes = self.flush(topo);
-        Ok((id, changes))
     }
 
     /// Starts a flow without solving; call [`NaiveFluidNetwork::flush`]
@@ -313,11 +254,6 @@ impl NaiveFluidNetwork {
         Ok(true)
     }
 
-    /// True when deferred operations are waiting for a solve.
-    pub fn has_pending(&self) -> bool {
-        !self.pending_seeds.is_empty() || !self.pending_changes.is_empty()
-    }
-
     /// Solves once for everything deferred since the last flush.
     pub fn flush(&mut self, topo: &Topology) -> Vec<RateChange> {
         let seeds = std::mem::take(&mut self.pending_seeds);
@@ -361,7 +297,6 @@ impl NaiveFluidNetwork {
     /// Accrues delivered bytes for **every** flow up to `now` — the O(active)
     /// scan the arena shape replaces with lazy accrual.
     pub fn advance(&mut self, now: SimTime) {
-        self.stats.advance_touches += self.flows.len() as u64;
         for f in self.flows.values_mut() {
             if now > f.last_update {
                 let dt = now.duration_since(f.last_update).as_secs_f64();
@@ -377,8 +312,7 @@ impl NaiveFluidNetwork {
     /// The earliest bounded-flow completion at current rates, by scanning
     /// **every** flow — the O(active) scan the arena shape replaces with a
     /// prediction heap.
-    pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-        self.stats.completion_visits += self.flows.len() as u64;
+    pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
         let mut best: Option<(SimTime, FlowId)> = None;
         for (id, f) in &self.flows {
             let Some(total) = f.spec.size_bytes else {
@@ -417,55 +351,6 @@ impl NaiveFluidNetwork {
         })
     }
 
-    /// Aggregate arrival (goodput) rate at a destination host, bits/s.
-    pub fn arrival_rate_at(&self, dst: NodeId) -> f64 {
-        self.flows
-            .values()
-            .filter(|f| f.spec.dst == dst)
-            .map(|f| f.rate_bps)
-            .sum::<f64>()
-            + 0.0
-    }
-
-    /// Aggregate arrival rate over all destinations, bits/s.
-    pub fn total_arrival_rate(&self) -> f64 {
-        self.flows.values().map(|f| f.rate_bps).sum::<f64>() + 0.0
-    }
-
-    /// Load on each direction of `link` in bits/s: `(a→b, b→a)`.
-    pub fn link_load(&self, link: LinkId) -> (f64, f64) {
-        let mut fwd = 0.0;
-        let mut rev = 0.0;
-        for f in self.flows.values() {
-            for d in &f.dlinks {
-                if d.link == link {
-                    if d.forward {
-                        fwd += f.rate_bps;
-                    } else {
-                        rev += f.rate_bps;
-                    }
-                }
-            }
-        }
-        (fwd, rev)
-    }
-
-    /// Flows (with current rates) traversing `link` in either direction,
-    /// in id order.
-    pub fn flows_on_link(&self, link: LinkId) -> Vec<(FlowId, f64)> {
-        let mut out: Vec<(FlowId, f64)> = Vec::new();
-        for forward in [true, false] {
-            if let Some(members) = self.link_members.get(&DirLink { link, forward }) {
-                for id in members {
-                    out.push((*id, self.flows[id].rate_bps));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out.dedup_by_key(|(id, _)| *id);
-        out
-    }
-
     /// Walks `path` from `src`, checking connectivity and ending at `dst`,
     /// and returns the directed-link sequence.
     fn orient(
@@ -497,125 +382,11 @@ impl NaiveFluidNetwork {
         Ok(out)
     }
 
-    /// Full max–min fair re-solve by progressive filling with demand caps,
-    /// over every flow.
-    pub fn recompute(&mut self, topo: &Topology) -> Vec<RateChange> {
-        self.stats.full_solves += 1;
-        self.stats.flows_touched += self.flows.len() as u64;
-        let mut remaining: HashMap<DirLink, f64> = HashMap::new();
-        let mut members: HashMap<DirLink, Vec<FlowId>> = HashMap::new();
-        let mut new_rate: BTreeMap<FlowId, f64> = BTreeMap::new();
-        let mut frozen: BTreeSet<FlowId> = BTreeSet::new();
-
-        for (id, f) in &self.flows {
-            new_rate.insert(*id, 0.0);
-            let blocked = f.dlinks.iter().any(|d| !topo.link(d.link).up);
-            if blocked {
-                frozen.insert(*id); // down link: starved at 0
-                continue;
-            }
-            if f.spec.demand_bps <= EPS || f.dlinks.is_empty() {
-                let granted = if f.spec.demand_bps.is_finite() {
-                    f.spec.demand_bps.max(0.0)
-                } else {
-                    0.0
-                };
-                new_rate.insert(*id, granted);
-                frozen.insert(*id);
-                continue;
-            }
-            for d in &f.dlinks {
-                remaining
-                    .entry(*d)
-                    .or_insert_with(|| topo.link(d.link).capacity_bps);
-                members.entry(*d).or_default().push(*id);
-            }
-        }
-
-        self.stats.links_touched += members.len() as u64;
-        loop {
-            let mut n_unfrozen: HashMap<DirLink, usize> = HashMap::new();
-            for (d, flows) in &members {
-                let n = flows.iter().filter(|f| !frozen.contains(f)).count();
-                self.stats.work += flows.len() as u64;
-                if n > 0 {
-                    n_unfrozen.insert(*d, n);
-                }
-            }
-            let unfrozen: Vec<FlowId> = new_rate
-                .keys()
-                .filter(|id| !frozen.contains(id))
-                .copied()
-                .collect();
-            if unfrozen.is_empty() {
-                break;
-            }
-            self.stats.iterations += 1;
-            self.stats.work += unfrozen.len() as u64 + n_unfrozen.len() as u64;
-
-            let mut delta = f64::INFINITY;
-            for (d, n) in &n_unfrozen {
-                delta = delta.min(remaining[d].max(0.0) / *n as f64);
-            }
-            for id in &unfrozen {
-                let headroom = self.flows[id].spec.demand_bps - new_rate[id];
-                delta = delta.min(headroom);
-            }
-            if delta.is_infinite() {
-                break; // defensive: no constraints at all
-            }
-            if delta > EPS {
-                for id in &unfrozen {
-                    *new_rate.get_mut(id).expect("flow present") += delta;
-                }
-                for (d, n) in &n_unfrozen {
-                    *remaining.get_mut(d).expect("dlink present") -= delta * *n as f64;
-                }
-            }
-
-            let mut progressed = false;
-            for id in &unfrozen {
-                let f = &self.flows[id];
-                let satisfied = new_rate[id] >= f.spec.demand_bps - EPS;
-                let bottlenecked = f
-                    .dlinks
-                    .iter()
-                    .any(|d| remaining.get(d).copied().unwrap_or(0.0) <= EPS);
-                if satisfied || bottlenecked {
-                    frozen.insert(*id);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                for id in unfrozen {
-                    frozen.insert(id);
-                }
-            }
-        }
-
-        self.pending_seeds.clear();
-        let mut changes = std::mem::take(&mut self.pending_changes);
-        for (id, f) in &mut self.flows {
-            let nr = new_rate[id];
-            if (nr - f.rate_bps).abs() > EPS {
-                changes.push(RateChange {
-                    flow: *id,
-                    old_bps: f.rate_bps,
-                    new_bps: nr,
-                });
-            }
-            f.rate_bps = nr;
-        }
-        changes
-    }
-
     /// Scoped max–min re-solve: expands `seeds` to the affected component
     /// and water-fills only that subgraph, reusing the solver arena.
     fn recompute_scoped(&mut self, topo: &Topology, seeds: &[DirLink]) -> Vec<RateChange> {
         let mut arena = std::mem::take(&mut self.arena);
         arena.clear();
-        self.stats.solves += 1;
-        self.stats.seed_dlinks += seeds.len() as u64;
 
         // Component closure: BFS over the flow↔directed-link sharing graph.
         for d in seeds {
@@ -638,7 +409,6 @@ impl NaiveFluidNetwork {
                 }
             }
         }
-        self.stats.flows_touched += arena.affected.len() as u64;
 
         for id in &arena.affected {
             let f = &self.flows[id];
@@ -660,12 +430,8 @@ impl NaiveFluidNetwork {
                 *arena.n_unfrozen.entry(*d).or_insert(0) += 1;
             }
         }
-        self.stats.links_touched += arena.remaining.len() as u64;
 
         while !arena.unfrozen.is_empty() {
-            self.stats.iterations += 1;
-            self.stats.work += arena.unfrozen.len() as u64 + arena.n_unfrozen.len() as u64;
-
             let mut delta = f64::INFINITY;
             for (d, n) in &arena.n_unfrozen {
                 if *n > 0 {
@@ -731,46 +497,5 @@ impl NaiveFluidNetwork {
         }
         self.arena = arena;
         changes
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::Ipv4Addr;
-
-    const GBPS: f64 = 1e9;
-
-    #[test]
-    fn oracle_shape_counts_full_scans() {
-        let mut t = Topology::new();
-        let sn: crate::addr::Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
-        let a = t.add_host("a", Ipv4Addr::new(10, 0, 0, 1), sn);
-        let b = t.add_host("b", Ipv4Addr::new(10, 0, 0, 2), sn);
-        let (l, ..) = t.add_link(a, b, GBPS, 0);
-        let mut net = NaiveFluidNetwork::new();
-        for i in 0..4u8 {
-            let tuple = FiveTuple::udp(
-                Ipv4Addr::new(10, 0, 0, 1),
-                1000 + i as u16,
-                Ipv4Addr::new(10, 0, 0, 2),
-                2000,
-            );
-            net.start(
-                SimTime::ZERO,
-                FlowSpec::transfer(a, b, tuple, GBPS, 1_000_000),
-                vec![l],
-                &t,
-            )
-            .unwrap();
-        }
-        net.reset_solver_stats();
-        net.advance(SimTime::from_millis(1));
-        net.next_completion();
-        let stats = net.solver_stats();
-        // The oracle touches every active flow per advance and per
-        // completion query — that is exactly what the arena shape avoids.
-        assert_eq!(stats.advance_touches, 4);
-        assert_eq!(stats.completion_visits, 4);
     }
 }

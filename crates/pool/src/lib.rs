@@ -404,7 +404,7 @@ mod tests {
         // single-core box (worker 0 may drain everything before others
         // are scheduled), but accounting must balance regardless.
         let f = |i: usize| {
-            if i % 4 == 0 {
+            if i.is_multiple_of(4) {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
             i

@@ -467,7 +467,7 @@ mod tests {
                         .filter(|(_, d)| **d <= now)
                         .map(|(k, d)| (*k, *d))
                         .collect();
-                    expect.sort_unstable_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)));
+                    expect.sort_unstable_by_key(|a| (a.1, a.0));
                     for (k, _) in &expect {
                         model.remove(k);
                     }

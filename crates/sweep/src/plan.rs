@@ -20,7 +20,7 @@ use crate::checkpoint::{
 };
 use crate::pool::{self, RunResult};
 use crate::seed::derive_seed;
-use horse_core::{ControlBuild, Experiment, ExperimentReport, PumpMode, RunConfig, TeApproach};
+use horse_core::{ControlBuild, Experiment, ExperimentReport, RunConfig, TeApproach};
 use horse_net::topology::LinkId;
 use horse_sim::{Pacing, SimDuration, SimTime};
 use horse_stats::{json_string, SweepStats};
@@ -248,7 +248,6 @@ pub struct SweepPlan {
     horizon: SimTime,
     pacing: Pacing,
     sample_interval: SimDuration,
-    pump_mode: PumpMode,
     run_threads: usize,
     trace: TraceOptions,
 }
@@ -269,7 +268,6 @@ impl SweepPlan {
             horizon: SimTime::from_secs(20),
             pacing: Pacing::Virtual,
             sample_interval: SimDuration::from_millis(100),
-            pump_mode: PumpMode::default(),
             run_threads: 1,
             trace: TraceOptions::default(),
         }
@@ -349,18 +347,12 @@ impl SweepPlan {
         self
     }
 
-    /// Pump scheduling mode for every run.
-    pub fn pump_mode(mut self, mode: PumpMode) -> SweepPlan {
-        self.pump_mode = mode;
-        self
-    }
-
     /// Intra-run drain workers for every run's BGP pump (1 = serial, the
     /// default). Composes with sweep workers: each run spawns its own
     /// scoped drain pool per round, so `threads × run_threads` cores are
-    /// busy at the barrier and nested pools cannot deadlock. Like
-    /// [`SweepPlan::pump_mode`], this is execution-only — reports and
-    /// traces stay byte-identical at any setting.
+    /// busy at the barrier and nested pools cannot deadlock. This is
+    /// execution-only — reports and traces stay byte-identical at any
+    /// setting.
     pub fn run_threads(mut self, threads: usize) -> SweepPlan {
         self.run_threads = threads.max(1);
         self
@@ -415,7 +407,6 @@ impl SweepPlan {
             .fti(spec.fti.0, spec.fti.1)
             .pacing(self.pacing)
             .sample_every(self.sample_interval)
-            .pump_mode(self.pump_mode)
             .run_threads(self.run_threads)
             .trace(self.trace)
             .label(spec.label());
@@ -474,12 +465,11 @@ impl SweepPlan {
         SweepOutcome { runs, stats }
     }
 
-    /// Runs the plan under a [`RunConfig`]: worker count, pump mode and
+    /// Runs the plan under a [`RunConfig`]: worker count, run threads and
     /// trace options all come from the config (the one `HORSE_*` parse
     /// point) instead of per-call arguments.
     pub fn execute_with(&self, cfg: &RunConfig) -> SweepOutcome {
         self.clone()
-            .pump_mode(cfg.pump_mode)
             .run_threads(cfg.run_threads())
             .trace(cfg.trace)
             .execute(cfg.threads())
@@ -606,13 +596,12 @@ impl SweepPlan {
     }
 
     /// [`SweepPlan::execute_checkpointed`] wired to a [`RunConfig`]:
-    /// worker count, pump mode, trace options, checkpoint directory
+    /// worker count, run threads, trace options, checkpoint directory
     /// (`HORSE_CHECKPOINT_DIR`, falling back to the results dir), run cap
     /// (`HORSE_SWEEP_MAX_RUNS`), and failure retry (`HORSE_RETRY_FAILED`)
     /// all come from the one `HORSE_*` parse point.
     pub fn execute_resumable(&self, cfg: &RunConfig) -> Result<CheckpointedSweep, CheckpointError> {
         self.clone()
-            .pump_mode(cfg.pump_mode)
             .run_threads(cfg.run_threads())
             .trace(cfg.trace)
             .execute_checkpointed(cfg.threads(), &CheckpointOptions::from_config(cfg))
@@ -840,7 +829,6 @@ mod tests {
         // Execution-only settings leave the hash (and hence the
         // checkpoint file) alone: a resume may legally change them.
         assert_eq!(h, base().pacing(Pacing::real_time()).plan_hash());
-        assert_eq!(h, base().pump_mode(PumpMode::FullPoll).plan_hash());
         assert_eq!(h, base().run_threads(4).plan_hash());
         assert_eq!(h, base().trace(TraceOptions::enabled()).plan_hash());
     }

@@ -48,8 +48,8 @@
 //! | Structured tracing & profiling | `horse-trace` | [`trace`] |
 
 pub use horse_core::{
-    ControlPlane, Experiment, ExperimentReport, PumpMode, PumpStats, RunConfig, Runner, SdnApp,
-    TeApproach,
+    ConfigError, ControlPlane, Experiment, ExperimentReport, PumpMode, PumpStats, RunConfig,
+    Runner, SdnApp, TeApproach,
 };
 pub use horse_trace::{TraceLog, TraceOptions, TraceSummary};
 

@@ -255,6 +255,11 @@ impl UpdateMsg {
     /// fits is returned as-is, so in-range messages keep byte-identical
     /// encodings; oversized ones emit withdraw-only chunks first, then NLRI
     /// chunks that each repeat the shared attributes (RFC 4271 §9.2).
+    ///
+    /// The speaker sends pre-encoded images (`encode_updates`) and does
+    /// not call this. It is kept, sharing no code with that function, for
+    /// callers that hold a whole `UpdateMsg` and as the reference the tests
+    /// hold `encode_updates` to.
     pub fn split_to_fit(self) -> Vec<UpdateMsg> {
         if self.wire_len() <= MAX_MESSAGE_LEN {
             return vec![self];
@@ -375,31 +380,48 @@ pub enum Message {
 }
 
 impl Message {
+    /// Encoded wire length including the RFC 4271 header (exact mirror of
+    /// [`Message::encode`], which sizes its one allocation with it).
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Message::Open(o) => HEADER_LEN + open_wire_len(o),
+            Message::Update(u) => u.wire_len(),
+            Message::Notification(n) => HEADER_LEN + 2 + n.data.len(),
+            Message::Keepalive => HEADER_LEN,
+        }
+    }
+
     /// Serializes the message with its RFC 4271 header.
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::new();
-        let msg_type = match self {
+        let mut out = BytesMut::with_capacity(self.wire_len());
+        match self {
             Message::Open(o) => {
-                encode_open(o, &mut body);
-                1
+                let start = put_header(&mut out, 1);
+                encode_open(o, &mut out);
+                finish_message(&mut out, start);
             }
-            Message::Update(u) => {
-                encode_update(u, &mut body);
-                2
-            }
+            Message::Update(u) => put_update(
+                &mut out,
+                &u.withdrawn,
+                |buf| {
+                    if let Some(a) = &u.attrs {
+                        encode_attrs(a, buf);
+                    }
+                },
+                &u.nlri,
+            ),
             Message::Notification(n) => {
-                body.put_u8(n.code);
-                body.put_u8(n.subcode);
-                body.put_slice(&n.data);
-                3
+                let start = put_header(&mut out, 3);
+                out.put_u8(n.code);
+                out.put_u8(n.subcode);
+                out.put_slice(&n.data);
+                finish_message(&mut out, start);
             }
-            Message::Keepalive => 4,
-        };
-        let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
-        out.put_slice(&[0xff; 16]);
-        out.put_u16((HEADER_LEN + body.len()) as u16);
-        out.put_u8(msg_type);
-        out.put_slice(&body);
+            Message::Keepalive => {
+                let start = put_header(&mut out, 4);
+                finish_message(&mut out, start);
+            }
+        }
         out.freeze()
     }
 
@@ -448,42 +470,88 @@ impl Message {
     }
 }
 
+/// Starts a message at the end of `buf`: marker, a length to be patched by
+/// [`finish_message`], type. Returns the message's start offset.
+fn put_header(buf: &mut BytesMut, msg_type: u8) -> usize {
+    let start = buf.len();
+    buf.put_slice(&[0xff; 16]);
+    buf.put_u16(0);
+    buf.put_u8(msg_type);
+    start
+}
+
+/// Patches the header length of the message that started at `start` and
+/// ends at the end of `buf`.
+fn finish_message(buf: &mut BytesMut, start: usize) {
+    let len = (buf.len() - start) as u16;
+    buf[start + 16..start + 18].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Reserves a 16-bit length field; [`patch_len16`] fills it in.
+fn put_len16_slot(buf: &mut BytesMut) -> usize {
+    buf.put_u16(0);
+    buf.len() - 2
+}
+
+/// Writes the number of bytes appended since [`put_len16_slot`] returned
+/// `slot` into that field.
+fn patch_len16(buf: &mut BytesMut, slot: usize) {
+    let len = (buf.len() - slot - 2) as u16;
+    buf[slot..slot + 2].copy_from_slice(&len.to_be_bytes());
+}
+
 fn encode_open(o: &OpenMsg, buf: &mut BytesMut) {
     buf.put_u8(o.version);
     buf.put_u16(o.my_as);
     buf.put_u16(o.hold_time);
     buf.put_slice(&o.bgp_id.octets());
-    // Optional parameters: one parameter of type 2 (capabilities).
-    let mut caps = BytesMut::new();
+    if o.capabilities.is_empty() {
+        buf.put_u8(0);
+        return;
+    }
+    // Optional parameters: one parameter of type 2 (capabilities). Both
+    // 8-bit lengths are patched once the capabilities are written.
+    let opt_len_at = buf.len();
+    buf.put_u8(0);
+    buf.put_u8(2);
+    buf.put_u8(0);
     for c in &o.capabilities {
         match c {
             Capability::Multiprotocol { afi, safi } => {
-                caps.put_u8(1);
-                caps.put_u8(4);
-                caps.put_u16(*afi);
-                caps.put_u8(0);
-                caps.put_u8(*safi);
+                buf.put_u8(1);
+                buf.put_u8(4);
+                buf.put_u16(*afi);
+                buf.put_u8(0);
+                buf.put_u8(*safi);
             }
             Capability::FourOctetAs(asn) => {
-                caps.put_u8(65);
-                caps.put_u8(4);
-                caps.put_u32(*asn);
+                buf.put_u8(65);
+                buf.put_u8(4);
+                buf.put_u32(*asn);
             }
             Capability::Unknown(code, data) => {
-                caps.put_u8(*code);
-                caps.put_u8(data.len() as u8);
-                caps.put_slice(data);
+                buf.put_u8(*code);
+                buf.put_u8(data.len() as u8);
+                buf.put_slice(data);
             }
         }
     }
-    if caps.is_empty() {
-        buf.put_u8(0);
-    } else {
-        buf.put_u8((caps.len() + 2) as u8); // opt param len
-        buf.put_u8(2); // param type: capabilities
-        buf.put_u8(caps.len() as u8);
-        buf.put_slice(&caps);
-    }
+    let caps_len = buf.len() - opt_len_at - 3;
+    buf[opt_len_at] = (caps_len + 2) as u8;
+    buf[opt_len_at + 2] = caps_len as u8;
+}
+
+/// Wire size of an OPEN body (exact mirror of [`encode_open`]).
+fn open_wire_len(o: &OpenMsg) -> usize {
+    let caps: usize = o
+        .capabilities
+        .iter()
+        .map(|c| match c {
+            Capability::Multiprotocol { .. } | Capability::FourOctetAs(_) => 6,
+            Capability::Unknown(_, data) => 2 + data.len(),
+        })
+        .sum();
+    10 + if caps == 0 { 0 } else { 2 + caps }
 }
 
 fn decode_open(buf: &mut &[u8]) -> Result<OpenMsg, CodecError> {
@@ -585,82 +653,110 @@ const ATTR_FLAG_OPTIONAL: u8 = 0x80;
 const ATTR_FLAG_TRANSITIVE: u8 = 0x40;
 const ATTR_FLAG_EXTENDED: u8 = 0x10;
 
-fn put_attr(buf: &mut BytesMut, flags: u8, type_code: u8, value: &[u8]) {
-    if value.len() > 255 {
+/// Writes an attribute's flags, type and length. The two-byte length form
+/// is used when the value needs it — or when `flags` already carries the
+/// extended-length bit (an unknown attribute received that way), since a
+/// decoder reads the length by that bit.
+fn put_attr_header(buf: &mut BytesMut, flags: u8, type_code: u8, value_len: usize) {
+    if attr_is_extended(flags, value_len) {
         buf.put_u8(flags | ATTR_FLAG_EXTENDED);
         buf.put_u8(type_code);
-        buf.put_u16(value.len() as u16);
+        buf.put_u16(value_len as u16);
     } else {
         buf.put_u8(flags);
         buf.put_u8(type_code);
-        buf.put_u8(value.len() as u8);
+        buf.put_u8(value_len as u8);
     }
-    buf.put_slice(value);
 }
 
-fn encode_attrs(a: &PathAttributes, buf: &mut BytesMut) {
-    put_attr(buf, ATTR_FLAG_TRANSITIVE, 1, &[a.origin.code()]);
-    let mut path = BytesMut::new();
+fn attr_is_extended(flags: u8, value_len: usize) -> bool {
+    value_len > 255 || flags & ATTR_FLAG_EXTENDED != 0
+}
+
+/// Wire size of one attribute: value plus a 3-byte header, 4 in the
+/// extended-length form.
+fn attr_wire_len(flags: u8, value_len: usize) -> usize {
+    value_len
+        + if attr_is_extended(flags, value_len) {
+            4
+        } else {
+            3
+        }
+}
+
+fn as_path_value_len(a: &PathAttributes) -> usize {
+    a.as_path
+        .iter()
+        .map(|seg| {
+            let (AsPathSegment::Set(asns) | AsPathSegment::Sequence(asns)) = seg;
+            2 + 2 * asns.len()
+        })
+        .sum()
+}
+
+/// Appends the path-attribute block of an UPDATE and returns the offset in
+/// `buf` of the 4-byte NEXT_HOP value, so a caller holding the encoded
+/// block can re-address it without encoding again.
+pub(crate) fn encode_attrs(a: &PathAttributes, buf: &mut BytesMut) -> usize {
+    put_attr_header(buf, ATTR_FLAG_TRANSITIVE, 1, 1);
+    buf.put_u8(a.origin.code());
+    put_attr_header(buf, ATTR_FLAG_TRANSITIVE, 2, as_path_value_len(a));
     for seg in &a.as_path {
         let (code, asns) = match seg {
             AsPathSegment::Set(v) => (1u8, v),
             AsPathSegment::Sequence(v) => (2u8, v),
         };
-        path.put_u8(code);
-        path.put_u8(asns.len() as u8);
+        buf.put_u8(code);
+        buf.put_u8(asns.len() as u8);
         for asn in asns {
-            path.put_u16(*asn);
+            buf.put_u16(*asn);
         }
     }
-    put_attr(buf, ATTR_FLAG_TRANSITIVE, 2, &path);
-    put_attr(buf, ATTR_FLAG_TRANSITIVE, 3, &a.next_hop.octets());
+    put_attr_header(buf, ATTR_FLAG_TRANSITIVE, 3, 4);
+    let next_hop_at = buf.len();
+    buf.put_slice(&a.next_hop.octets());
     if let Some(med) = a.med {
-        put_attr(buf, ATTR_FLAG_OPTIONAL, 4, &med.to_be_bytes());
+        put_attr_header(buf, ATTR_FLAG_OPTIONAL, 4, 4);
+        buf.put_u32(med);
     }
     if let Some(lp) = a.local_pref {
-        put_attr(buf, ATTR_FLAG_TRANSITIVE, 5, &lp.to_be_bytes());
+        put_attr_header(buf, ATTR_FLAG_TRANSITIVE, 5, 4);
+        buf.put_u32(lp);
     }
     if !a.communities.is_empty() {
-        let mut val = BytesMut::with_capacity(4 * a.communities.len());
+        put_attr_header(
+            buf,
+            ATTR_FLAG_OPTIONAL | ATTR_FLAG_TRANSITIVE,
+            8,
+            4 * a.communities.len(),
+        );
         for c in &a.communities {
-            val.put_u32(*c);
+            buf.put_u32(*c);
         }
-        put_attr(buf, ATTR_FLAG_OPTIONAL | ATTR_FLAG_TRANSITIVE, 8, &val);
     }
     for (flags, code, data) in &a.unknown {
-        put_attr(buf, *flags, *code, data);
+        put_attr_header(buf, *flags, *code, data.len());
+        buf.put_slice(data);
     }
+    next_hop_at
 }
 
 /// Wire size of the encoded path attributes (exact mirror of
 /// [`encode_attrs`]).
 fn attrs_wire_len(a: &PathAttributes) -> usize {
-    // Type+flags+length header: 3 bytes, or 4 with the extended-length flag.
-    fn attr_len(value_len: usize) -> usize {
-        value_len + if value_len > 255 { 4 } else { 3 }
-    }
-    let path_len: usize = a
-        .as_path
-        .iter()
-        .map(|seg| {
-            let asns = match seg {
-                AsPathSegment::Set(v) | AsPathSegment::Sequence(v) => v,
-            };
-            2 + 2 * asns.len()
-        })
-        .sum();
-    let mut n = attr_len(1) + attr_len(path_len) + attr_len(4); // origin, as_path, next_hop
+    // origin, as_path, next_hop
+    let mut n = attr_wire_len(0, 1) + attr_wire_len(0, as_path_value_len(a)) + attr_wire_len(0, 4);
     if a.med.is_some() {
-        n += attr_len(4);
+        n += attr_wire_len(0, 4);
     }
     if a.local_pref.is_some() {
-        n += attr_len(4);
+        n += attr_wire_len(0, 4);
     }
     if !a.communities.is_empty() {
-        n += attr_len(4 * a.communities.len());
+        n += attr_wire_len(0, 4 * a.communities.len());
     }
-    for (_, _, data) in &a.unknown {
-        n += attr_len(data.len());
+    for (flags, _, data) in &a.unknown {
+        n += attr_wire_len(*flags, data.len());
     }
     n
 }
@@ -700,7 +796,11 @@ fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, CodecError> {
                 origin = Some(Origin::from_code(val[0])?);
             }
             2 => {
-                let mut segs = Vec::new();
+                // Room for the usual single segment only: the speaker that
+                // receives a path is the one whose copy the attribute pool
+                // keeps, and `Vec`'s first growth step would reserve four
+                // segments (128 bytes) for every path in the pool.
+                let mut segs = Vec::with_capacity(1);
                 while !val.is_empty() {
                     if val.len() < 2 {
                         return Err(CodecError::Truncated("as_path segment header"));
@@ -766,21 +866,78 @@ fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, CodecError> {
     })
 }
 
-fn encode_update(u: &UpdateMsg, buf: &mut BytesMut) {
-    let mut withdrawn = BytesMut::new();
-    for p in &u.withdrawn {
-        encode_prefix(p, &mut withdrawn);
-    }
-    buf.put_u16(withdrawn.len() as u16);
-    buf.put_slice(&withdrawn);
-    let mut attrs = BytesMut::new();
-    if let Some(a) = &u.attrs {
-        encode_attrs(a, &mut attrs);
-    }
-    buf.put_u16(attrs.len() as u16);
-    buf.put_slice(&attrs);
-    for p in &u.nlri {
+/// Appends one whole UPDATE — header included — to `buf`: the single
+/// writer of the UPDATE framing. `put_attrs` appends the path-attribute
+/// block (nothing for a withdraw-only message); the message length and the
+/// two section lengths are patched in once their sections are written.
+fn put_update(
+    buf: &mut BytesMut,
+    withdrawn: &[Ipv4Prefix],
+    put_attrs: impl FnOnce(&mut BytesMut),
+    nlri: &[Ipv4Prefix],
+) {
+    let start = put_header(buf, 2);
+    let slot = put_len16_slot(buf);
+    for p in withdrawn {
         encode_prefix(p, buf);
+    }
+    patch_len16(buf, slot);
+    let slot = put_len16_slot(buf);
+    put_attrs(buf);
+    patch_len16(buf, slot);
+    for p in nlri {
+        encode_prefix(p, buf);
+    }
+    finish_message(buf, start);
+}
+
+/// Offset of the NEXT_HOP value from the start of an announce-only UPDATE
+/// whose attribute block has it at `next_hop_at` (see [`encode_attrs`]).
+pub(crate) const fn announce_next_hop_offset(next_hop_at: usize) -> usize {
+    UpdateMsg::FIXED_LEN + next_hop_at
+}
+
+/// Appends to `out` the UPDATE(s) carrying `prefixes` — announced with the
+/// already encoded attribute block `attrs`, or withdrawn when it is `None`
+/// — and pushes each message's end offset in `out` onto `ends`. Each
+/// message takes the longest run of prefixes that fits
+/// [`MAX_MESSAGE_LEN`], which is how [`UpdateMsg::split_to_fit`] splits the
+/// equivalent message (the tests hold the two together; they share no
+/// code). Panics if a prefix does not fit a message of its own behind
+/// `attrs`.
+pub(crate) fn encode_updates(
+    attrs: Option<&[u8]>,
+    prefixes: &[Ipv4Prefix],
+    out: &mut BytesMut,
+    ends: &mut Vec<usize>,
+) {
+    let block = attrs.unwrap_or_default();
+    let base = UpdateMsg::FIXED_LEN + block.len();
+    let mut put_run = |run: &[Ipv4Prefix]| {
+        let (withdrawn, nlri) = if attrs.is_some() {
+            (&[][..], run)
+        } else {
+            (run, &[][..])
+        };
+        put_update(out, withdrawn, |buf| buf.put_slice(block), nlri);
+        ends.push(out.len());
+    };
+    let (mut start, mut used) = (0, base);
+    for (i, p) in prefixes.iter().enumerate() {
+        let w = prefix_wire_len(p);
+        assert!(
+            base + w <= MAX_MESSAGE_LEN,
+            "{base} bytes of header and path attributes leave no room for {p}"
+        );
+        if used + w > MAX_MESSAGE_LEN {
+            put_run(&prefixes[start..i]);
+            start = i;
+            used = base;
+        }
+        used += w;
+    }
+    if start < prefixes.len() {
+        put_run(&prefixes[start..]);
     }
 }
 
@@ -833,6 +990,8 @@ fn decode_update(buf: &mut &[u8]) -> Result<UpdateMsg, CodecError> {
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
     buf: Vec<u8>,
+    /// Start of the unread bytes in `buf`.
+    read: usize,
 }
 
 impl StreamDecoder {
@@ -852,18 +1011,27 @@ impl StreamDecoder {
     // reach the session so it can emit a NOTIFICATION before closing.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Message>, CodecError> {
-        match Message::decode(&self.buf)? {
-            Some((msg, consumed)) => {
-                self.buf.drain(..consumed);
-                Ok(Some(msg))
-            }
-            None => Ok(None),
+        let Some((msg, consumed)) = Message::decode(&self.buf[self.read..])? else {
+            return Ok(None);
+        };
+        self.read += consumed;
+        // Consuming moves the cursor, not the bytes. Read bytes are dropped
+        // for free when nothing is left, and by a move of the smaller half
+        // otherwise — so a push carrying many messages costs O(bytes), not
+        // O(bytes × messages).
+        if self.read == self.buf.len() {
+            self.buf.clear();
+            self.read = 0;
+        } else if self.read > self.buf.len() / 2 {
+            self.buf.drain(..self.read);
+            self.read = 0;
         }
+        Ok(Some(msg))
     }
 
-    /// Bytes currently buffered.
+    /// Bytes buffered and not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.read
     }
 }
 
@@ -972,9 +1140,236 @@ mod tests {
                 nlri: vec![pfx("10.9.0.0/16")],
             },
         ];
-        for u in cases {
-            assert_eq!(u.wire_len(), Message::Update(u.clone()).encode().len());
+        let open = |capabilities| {
+            Message::Open(OpenMsg {
+                version: 4,
+                my_as: 64512,
+                hold_time: 90,
+                bgp_id: Ipv4Addr::new(1, 1, 1, 1),
+                capabilities,
+            })
+        };
+        let others = [
+            Message::Keepalive,
+            open(vec![]),
+            open(vec![
+                Capability::Multiprotocol { afi: 1, safi: 1 },
+                Capability::FourOctetAs(64512),
+                Capability::Unknown(99, vec![1, 2, 3]),
+            ]),
+            Message::Notification(Notification::cease()),
+            Message::Notification(Notification {
+                code: 6,
+                subcode: 2,
+                data: vec![0xde, 0xad, 0xbe],
+            }),
+        ];
+        for m in cases.into_iter().map(Message::Update).chain(others) {
+            assert_eq!(m.wire_len(), m.encode().len(), "{m:?}");
         }
+    }
+
+    /// Runs [`encode_updates`] and checks what it wrote without reference
+    /// to how it splits: every message decodes, fits, carries `block`
+    /// untouched and could not have taken the next message's first prefix;
+    /// together they carry `prefixes` in order. Returns the message lengths.
+    fn checked_encode_updates(block: Option<&[u8]>, prefixes: &[Ipv4Prefix]) -> Vec<usize> {
+        let (mut out, mut ends) = (BytesMut::new(), Vec::new());
+        encode_updates(block, prefixes, &mut out, &mut ends);
+        let mut runs: Vec<Vec<Ipv4Prefix>> = Vec::new();
+        let mut lens = Vec::new();
+        let mut start = 0;
+        for end in ends {
+            let bytes = &out[start..end];
+            assert!(bytes.len() <= MAX_MESSAGE_LEN, "{} bytes", bytes.len());
+            let Ok(Some((Message::Update(u), n))) = Message::decode(bytes) else {
+                panic!("not an UPDATE: {bytes:?}");
+            };
+            assert_eq!(n, bytes.len());
+            match block {
+                Some(block) => {
+                    assert!(u.withdrawn.is_empty());
+                    let at = UpdateMsg::FIXED_LEN;
+                    assert_eq!(bytes[at..at + block.len()], *block);
+                    runs.push(u.nlri);
+                }
+                None => {
+                    assert!(u.attrs.is_none() && u.nlri.is_empty());
+                    runs.push(u.withdrawn);
+                }
+            }
+            lens.push(bytes.len());
+            start = end;
+        }
+        assert_eq!(start, out.len());
+        for (i, next) in runs.iter().enumerate().skip(1) {
+            assert!(
+                lens[i - 1] + prefix_wire_len(&next[0]) > MAX_MESSAGE_LEN,
+                "message {} had room for the next prefix",
+                i - 1
+            );
+        }
+        assert_eq!(runs.concat(), prefixes);
+        lens
+    }
+
+    /// `n` wire bytes of prefixes: /24s, then one shorter prefix for the
+    /// remainder.
+    fn prefixes_of_wire_len(n: usize) -> Vec<Ipv4Prefix> {
+        let mut out: Vec<Ipv4Prefix> = (0..n as u32 / 4)
+            .map(|g| Ipv4Prefix::new(Ipv4Addr::from(0x0a00_0000 | (g << 8)), 24))
+            .collect();
+        match n % 4 {
+            0 => {}
+            r => out.push(Ipv4Prefix::new(
+                Ipv4Addr::new(77, 1, 0, 0),
+                8 * (r as u8 - 1),
+            )),
+        }
+        assert_eq!(out.iter().map(prefix_wire_len).sum::<usize>(), n);
+        out
+    }
+
+    /// `attrs` with an unknown attribute added that brings its encoded
+    /// block to `len` bytes.
+    fn attrs_of_block_len(len: usize) -> (Arc<PathAttributes>, BytesMut) {
+        let mut block = BytesMut::new();
+        encode_attrs(&sample_attrs(), &mut block);
+        // Extended-length attribute header: flags, type, two length bytes.
+        let pad = len - block.len() - 4;
+        assert!(pad > 255);
+        let attrs = Arc::new(PathAttributes {
+            unknown: vec![(0xc0, 99, vec![7u8; pad])],
+            ..sample_attrs()
+        });
+        block.clear();
+        encode_attrs(&attrs, &mut block);
+        assert_eq!(block.len(), len);
+        (attrs, block)
+    }
+
+    /// What the parent commit's sender would have put on the wire: the
+    /// whole message through `split_to_fit`, each piece encoded. It shares
+    /// no code with [`encode_updates`].
+    fn split_to_fit_encodings(
+        attrs: Option<&Arc<PathAttributes>>,
+        prefixes: &[Ipv4Prefix],
+    ) -> Vec<Bytes> {
+        let whole = match attrs {
+            Some(attrs) => UpdateMsg {
+                withdrawn: vec![],
+                attrs: Some(attrs.clone()),
+                nlri: prefixes.to_vec(),
+            },
+            None => UpdateMsg {
+                withdrawn: prefixes.to_vec(),
+                attrs: None,
+                nlri: vec![],
+            },
+        };
+        whole
+            .split_to_fit()
+            .into_iter()
+            .map(|u| Message::Update(u).encode())
+            .collect()
+    }
+
+    fn lens(messages: &[Bytes]) -> Vec<usize> {
+        messages.iter().map(Bytes::len).collect()
+    }
+
+    #[test]
+    fn pre_encoded_updates_match_split_to_fit() {
+        // The image the speaker copies per peer: an attribute block encoded
+        // once, NLRI (or withdrawals) appended.
+        let attrs = Arc::new(sample_attrs());
+        let mut block = BytesMut::new();
+        let next_hop_at = encode_attrs(&attrs, &mut block);
+        assert_eq!(block[next_hop_at..next_hop_at + 4], [10, 0, 0, 1]);
+        let many = prefixes_of_wire_len(6000);
+        for prefixes in [&many[..1], &many[..]] {
+            for announce in [true, false] {
+                let expected = split_to_fit_encodings(announce.then_some(&attrs), prefixes);
+                let (mut out, mut ends) = (BytesMut::new(), Vec::new());
+                encode_updates(
+                    announce.then_some(&block[..]),
+                    prefixes,
+                    &mut out,
+                    &mut ends,
+                );
+                assert_eq!(ends.len(), expected.len());
+                let mut start = 0;
+                for (end, want) in ends.into_iter().zip(expected) {
+                    assert_eq!(out[start..end], want[..]);
+                    if announce {
+                        let at = start + announce_next_hop_offset(next_hop_at);
+                        assert_eq!(out[at..at + 4], [10, 0, 0, 1]);
+                    }
+                    start = end;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pre_encoded_updates_split_at_the_byte() {
+        let attrs = Arc::new(sample_attrs());
+        let mut block = BytesMut::new();
+        encode_attrs(&attrs, &mut block);
+        for block in [Some(&block[..]), None] {
+            let room = MAX_MESSAGE_LEN - UpdateMsg::FIXED_LEN - block.map_or(0, <[u8]>::len);
+            // Checked on its own terms, then against the reference.
+            let encode = |prefixes: &[Ipv4Prefix]| {
+                let got = checked_encode_updates(block, prefixes);
+                let reference = split_to_fit_encodings(block.map(|_| &attrs), prefixes);
+                assert_eq!(got, lens(&reference));
+                got
+            };
+            // A run that ends exactly on the limit stays one message.
+            for exact in [room, room - 1] {
+                let got = encode(&prefixes_of_wire_len(exact));
+                assert_eq!(got, [MAX_MESSAGE_LEN - (room - exact)]);
+            }
+            // One byte over and the last prefix moves to a second message.
+            for over in 1..=5 {
+                let got = encode(&prefixes_of_wire_len(room + over));
+                assert_eq!(got.len(), 2, "{over} over: {got:?}");
+            }
+            // Two full messages and a third of one prefix.
+            let mut prefixes = prefixes_of_wire_len(room);
+            prefixes.extend(prefixes_of_wire_len(room));
+            prefixes.push(pfx("192.0.2.0/24"));
+            assert_eq!(
+                encode(&prefixes),
+                [MAX_MESSAGE_LEN, MAX_MESSAGE_LEN, MAX_MESSAGE_LEN - room + 4]
+            );
+        }
+    }
+
+    #[test]
+    fn near_maximal_attribute_block_still_carries_a_short_prefix() {
+        // 23 + 4070 leaves three bytes: a /8 or a /16 fits, one per message.
+        let (attrs, block) = attrs_of_block_len(4070);
+        for prefix in [pfx("77.0.0.0/8"), pfx("77.1.0.0/16")] {
+            let lens = checked_encode_updates(Some(&block), &[prefix]);
+            let whole = UpdateMsg {
+                withdrawn: vec![],
+                attrs: Some(attrs.clone()),
+                nlri: vec![prefix],
+            };
+            assert_eq!(lens, [whole.wire_len()]);
+            assert_eq!(whole.clone().split_to_fit(), vec![whole]);
+        }
+        let lens = checked_encode_updates(Some(&block), &[pfx("77.0.0.0/8"), pfx("78.0.0.0/8")]);
+        assert_eq!(lens, [4095, 4095]);
+    }
+
+    #[test]
+    #[should_panic(expected = "leave no room for 77.1.2.0/24")]
+    fn prefix_that_cannot_follow_its_attribute_block_panics() {
+        let (_, block) = attrs_of_block_len(4070);
+        let (mut out, mut ends) = (BytesMut::new(), Vec::new());
+        encode_updates(Some(&block), &[pfx("77.1.2.0/24")], &mut out, &mut ends);
     }
 
     #[test]
@@ -1257,5 +1652,68 @@ mod tests {
             }
             other => panic!("expected update, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stream_decoder_drains_a_long_push_without_losing_the_tail() {
+        let keepalive = Message::Keepalive.encode();
+        let update = Message::Update(UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(Arc::new(sample_attrs())),
+            nlri: vec![pfx("10.0.0.0/8")],
+        })
+        .encode();
+        let tail = &update[..update.len() - 3];
+        let mut all = Vec::new();
+        for _ in 0..4096 {
+            all.extend_from_slice(&keepalive);
+        }
+        all.extend_from_slice(tail);
+        let mut dec = StreamDecoder::new();
+        dec.push(&all);
+        let mut got = 0;
+        while let Some(m) = dec.next().unwrap() {
+            assert_eq!(m, Message::Keepalive);
+            got += 1;
+            assert_eq!(dec.buffered(), all.len() - got * keepalive.len());
+        }
+        assert_eq!(got, 4096);
+        assert_eq!(dec.buffered(), tail.len());
+        // The rest of the truncated message completes it.
+        dec.push(&update[tail.len()..]);
+        assert!(matches!(dec.next(), Ok(Some(Message::Update(_)))));
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn stream_decoder_reports_a_bad_marker_mid_buffer() {
+        let keepalive = Message::Keepalive.encode();
+        let mut all = [&keepalive[..], &keepalive[..], &keepalive[..]].concat();
+        all[2 * keepalive.len() + 5] = 0;
+        let mut dec = StreamDecoder::new();
+        dec.push(&all);
+        assert_eq!(dec.next(), Ok(Some(Message::Keepalive)));
+        assert_eq!(dec.next(), Ok(Some(Message::Keepalive)));
+        assert_eq!(dec.next(), Err(CodecError::BadMarker));
+    }
+
+    #[test]
+    fn unknown_attr_keeps_its_extended_length_flag_on_a_short_value() {
+        // Received with the two-byte length form although one byte would
+        // do (legal): the flag is part of the carried attribute, so the
+        // re-encoding must use the form the flag announces.
+        let mut a = sample_attrs();
+        a.unknown = vec![(
+            ATTR_FLAG_OPTIONAL | ATTR_FLAG_TRANSITIVE | ATTR_FLAG_EXTENDED,
+            16,
+            vec![7; 5],
+        )];
+        let u = UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(Arc::new(a)),
+            nlri: vec![pfx("10.0.0.0/8")],
+        };
+        assert_eq!(u.wire_len(), Message::Update(u.clone()).encode().len());
+        assert_eq!(roundtrip(Message::Update(u.clone())), Message::Update(u));
     }
 }

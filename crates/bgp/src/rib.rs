@@ -1071,8 +1071,9 @@ impl LocRib {
         &self.pool
     }
 
-    /// Interns an owned attribute set in this RIB's pool (the speaker's
-    /// export path uses this so Adj-RIB-Out entries are ids too).
+    /// Interns an owned attribute set in this RIB's pool: what an import
+    /// route-map rewrote a received set into. (Exports are not interned
+    /// here; the speaker keeps their encoded blocks.)
     pub fn intern_attrs(&self, attrs: PathAttributes) -> AttrId {
         let (id, created) = self.pool.intern_owned(attrs);
         if created {

@@ -8,7 +8,7 @@
 //!
 //! The session is sans-IO: bytes in via [`Session::on_bytes`], wall/virtual
 //! clock in via the `now` arguments, and everything outgoing is queued as
-//! [`SessionEvent`]s the caller drains with [`Session::take_events`].
+//! [`SessionEvent`]s the caller drains with [`Session::swap_events`].
 
 use crate::msg::{
     Capability, CodecError, Message, Notification, OpenMsg, StreamDecoder, UpdateMsg, BGP_VERSION,
@@ -156,9 +156,17 @@ impl Session {
         self.state == SessionState::Established
     }
 
-    /// Drains queued outputs.
-    pub fn take_events(&mut self) -> Vec<SessionEvent> {
-        std::mem::take(&mut self.events)
+    /// True when outputs are queued.
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
+    /// Drains queued outputs into `out`, which must be empty: the two
+    /// buffers trade places, so a caller that keeps `out` around drains
+    /// without allocating on either side.
+    pub fn swap_events(&mut self, out: &mut Vec<SessionEvent>) {
+        debug_assert!(out.is_empty(), "swap_events into a non-empty buffer");
+        std::mem::swap(&mut self.events, out);
     }
 
     /// Administratively starts the session (Idle → Connect).
@@ -220,14 +228,18 @@ impl Session {
         }
     }
 
-    /// Sends an UPDATE (only meaningful in Established). An UPDATE whose
-    /// encoding would exceed the RFC 4271 4096-byte maximum is split into
-    /// multiple messages; in-range UPDATEs go out byte-identical.
-    pub fn send_update(&mut self, update: UpdateMsg) {
+    /// Sends one already encoded UPDATE (only meaningful in Established).
+    /// The caller has encoded it within the RFC 4271 4096-byte maximum —
+    /// the speaker builds the bytes once per best-path change and
+    /// re-addresses them per peer (see [`crate::msg::encode_updates`]).
+    pub fn send_encoded_update(&mut self, bytes: Bytes) {
         debug_assert!(self.is_established(), "update outside Established");
-        for chunk in update.split_to_fit() {
-            self.send(Message::Update(chunk));
-        }
+        debug_assert!(
+            matches!(Message::decode(&bytes), Ok(Some((Message::Update(_), n))) if n == bytes.len()),
+            "not exactly one encoded UPDATE"
+        );
+        self.msgs_sent += 1;
+        self.events.push(SessionEvent::SendBytes(bytes));
     }
 
     /// Fires due timers. Call whenever the clock advances; cheap when
@@ -360,6 +372,18 @@ impl Session {
 mod tests {
     use super::*;
 
+    trait TakeEvents {
+        fn take_events(&mut self) -> Vec<SessionEvent>;
+    }
+
+    impl TakeEvents for Session {
+        fn take_events(&mut self) -> Vec<SessionEvent> {
+            let mut out = Vec::new();
+            self.swap_events(&mut out);
+            out
+        }
+    }
+
     fn pair() -> (Session, Session) {
         let a_addr = Ipv4Addr::new(10, 0, 0, 1);
         let b_addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -462,7 +486,7 @@ mod tests {
             ))),
             nlri: vec!["10.9.0.0/16".parse().unwrap()],
         };
-        a.send_update(upd.clone());
+        a.send_encoded_update(Message::Update(upd.clone()).encode());
         let log = shuttle(&mut a, &mut b, SimTime::ZERO);
         assert!(log
             .iter()
@@ -516,6 +540,29 @@ mod tests {
         assert!(evs
             .iter()
             .any(|e| matches!(e, SessionEvent::Down(DownReason::CodecError(_)))));
+    }
+
+    #[test]
+    fn bad_marker_behind_good_messages_still_takes_the_session_down() {
+        let (mut a, mut b) = pair();
+        establish(&mut a, &mut b, SimTime::ZERO);
+        let keepalive = Message::Keepalive.encode();
+        let mut bytes = [&keepalive[..], &keepalive[..], &keepalive[..]].concat();
+        bytes[2 * keepalive.len()] = 0;
+        let received = a.msgs_received;
+        a.on_bytes(SimTime::ZERO, &bytes);
+        assert_eq!(a.msgs_received, received + 2, "the good ones were handled");
+        let evs = a.take_events();
+        assert!(
+            matches!(
+                &evs[..],
+                [
+                    SessionEvent::SendBytes(n),
+                    SessionEvent::Down(DownReason::CodecError(CodecError::BadMarker)),
+                ] if matches!(Message::decode(n), Ok(Some((Message::Notification(_), _))))
+            ),
+            "{evs:?}"
+        );
     }
 
     #[test]

@@ -18,6 +18,19 @@
 //! AS, set next-hop-self, and strip LOCAL_PREF/MED. Announcements with the
 //! same attributes are batched into one UPDATE.
 //!
+//! ## Fan-out
+//!
+//! What a best-path change exports is a property of the change, not of
+//! the peer: the export transform runs once per `(best attr id, export
+//! route-map, prefix marker)` with NEXT_HOP left open, and its result is
+//! kept as the encoded path-attribute block of the UPDATEs that will carry
+//! it ([`ExportBlocks`]). Split horizon, the peer-AS loop check, MRAI and
+//! the Adj-RIB-Out stay per peer. Each peer's UPDATE is a copy of one
+//! encoded [`Image`] with the peer's own address patched into the four
+//! NEXT_HOP bytes; the image is rebuilt only when a peer's `(export id,
+//! prefix ids)` group differs from the one the image was built for. See
+//! "UPDATE fast path" in DESIGN.md.
+//!
 //! ## Compact-id speaker state
 //!
 //! All per-peer and per-prefix bookkeeping is arena-shaped (see
@@ -25,7 +38,7 @@
 //! assigned in ascending peer-address order at construction — the
 //! iteration order of the `BTreeMap` this replaces, which wire-byte
 //! determinism depends on (peers are synced in that order). Per-peer
-//! state (`sessions`, `adj_out`, `export_cache`, `mrai_*`) lives in
+//! state (`sessions`, `adj_out`, `mrai_*`) lives in
 //! parallel `Vec`s indexed by that peer index; per-prefix state
 //! (`adj_out` rows, `fib_view`) is indexed by [`PrefixId`]. UPDATE
 //! handling is batched decode→intern→decide→export over id slices: the
@@ -35,21 +48,85 @@
 //! set, announce groups) are held on the speaker and reused, so a
 //! post-convergence reconcile allocates nothing.
 
-use crate::msg::UpdateMsg;
-use crate::rib::{AttrId, BestPath, HopSetId, LocRib, RibStats};
+use crate::msg::{announce_next_hop_offset, encode_attrs, encode_updates, PathAttributes};
+use crate::policy::RouteMap;
+use crate::rib::{BestPath, HopSetId, LocRib, RibStats};
 use crate::session::{PeerConfig, Session, SessionEvent, SessionState, TimerConfig};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use horse_net::addr::Ipv4Prefix;
 use horse_net::intern::{FastMap, IdSet, PrefixId};
 use horse_sim::SimTime;
 use horse_trace::{ComponentLog, TraceData, Tracer};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// One prefix handed from a decision read down to the per-peer syncs.
 type Decided = (PrefixId, Option<BestPath>);
 
-/// Sentinel in an `adj_out` row: nothing advertised for this prefix.
-const NO_ATTR: u32 = u32::MAX;
+/// In an `adj_out` row: nothing advertised for this prefix. As an
+/// [`Image`]'s export id: the image withdraws.
+const NOT_ADVERTISED: u32 = u32::MAX;
+
+/// The exported attribute sets of one speaker, each stored once as the
+/// encoded path-attribute block of the UPDATEs that announce it, with
+/// NEXT_HOP zeroed: next-hop-self is a static function of the peer, so two
+/// exports toward one peer are equal exactly when their blocks are. Ids
+/// are dense, in first-export order, and never reused — what `adj_out`
+/// rows and announce groups compare.
+#[derive(Debug, Default)]
+struct ExportBlocks {
+    /// Per id: the block, and the offset of its NEXT_HOP value.
+    blocks: Vec<(Arc<[u8]>, usize)>,
+    ids: FastMap<Arc<[u8]>, u32>,
+}
+
+impl ExportBlocks {
+    fn intern(&mut self, block: &[u8], next_hop_at: usize) -> u32 {
+        if let Some(&id) = self.ids.get(block) {
+            return id;
+        }
+        let id = self.blocks.len() as u32;
+        let block: Arc<[u8]> = block.into();
+        self.blocks.push((block.clone(), next_hop_at));
+        self.ids.insert(block, id);
+        id
+    }
+}
+
+/// A memoized export transform that permitted the route: the block it
+/// produced, and the Loc-RIB attributes it started from — the per-peer
+/// loop check reads their AS path.
+#[derive(Debug)]
+struct Exported {
+    id: u32,
+    best: Arc<PathAttributes>,
+}
+
+/// The encoded UPDATE(s) for one group of a sync — every prefix in `ids`
+/// announced with export `export`, or withdrawn — kept so the next peer
+/// whose group is the same gets a copy instead of an encoding.
+#[derive(Debug)]
+struct Image {
+    export: u32,
+    ids: Vec<PrefixId>,
+    /// The messages back to back; `ends[i]` is where message `i` ends.
+    bytes: BytesMut,
+    ends: Vec<usize>,
+    /// Offset of the NEXT_HOP value from the start of each message.
+    next_hop_at: usize,
+}
+
+impl Default for Image {
+    fn default() -> Image {
+        Image {
+            export: NOT_ADVERTISED,
+            ids: Vec::new(),
+            bytes: BytesMut::new(),
+            ends: Vec::new(),
+            next_hop_at: 0,
+        }
+    }
+}
 
 /// Speaker configuration.
 #[derive(Debug, Clone)]
@@ -112,29 +189,32 @@ pub struct BgpSpeaker {
     sessions: Vec<Session>,
     rib: LocRib,
     /// Adj-RIB-Out per peer index: row indexed by prefix id holding the
-    /// last advertised interned attr id ([`NO_ATTR`] = nothing). Rows grow
+    /// last advertised export id ([`NOT_ADVERTISED`] = nothing). Rows grow
     /// lazily; a session drop clears the row.
     adj_out: Vec<Vec<u32>>,
-    /// Memoized export transform per peer index, keyed by
-    /// `(best-path attr id, prefix marker)`: `None` means "suppressed"
-    /// (AS-loop toward that peer, or an export route-map deny). Split
-    /// horizon is checked outside the memo (it depends on where the best
-    /// path was learned, not on its attributes). The prefix marker is 0
-    /// unless the peer's export map matches on prefix, in which case it is
-    /// the prefix id + 1 — attr-only keying would conflate prefixes such a
-    /// map distinguishes. The transform reads only static session config
-    /// and the peer's installed policy, so entries live until
-    /// [`BgpSpeaker::set_peer_policy`] clears that peer's memo. A map, not
-    /// a dense vector: attr ids are pool-global, so a vector per peer
-    /// would be O(peers × pool).
-    export_memo: Vec<FastMap<(u32, u32), Option<AttrId>>>,
+    exports: ExportBlocks,
+    /// Memoized export transform, keyed by `(best-path attr id, export
+    /// class, prefix marker)`: `None` means an export route-map denied the
+    /// route. Everything that depends on the peer itself is checked
+    /// outside the memo: split horizon (where the best path was learned)
+    /// and the loop check against the peer's AS. The prefix marker is 0
+    /// unless the class's export map matches on prefix, in which case it
+    /// is the prefix id + 1 — attr-only keying would conflate prefixes
+    /// such a map distinguishes. The transform reads only the speaker's
+    /// own AS and the class's map, so entries live until
+    /// [`BgpSpeaker::set_peer_policy`] clears the memo. A map, not a dense
+    /// vector: attr ids are pool-global.
+    export_memo: FastMap<(u32, u32, u32), Option<Exported>>,
     export_hits: u64,
     export_misses: u64,
     /// Import route-map per peer index (`None` = permit all, unchanged).
-    import_policy: Vec<Option<std::sync::Arc<crate::policy::RouteMap>>>,
+    import_policy: Vec<Option<Arc<RouteMap>>>,
     /// Export route-map per peer index, applied between split horizon and
     /// the standard eBGP transform.
-    export_policy: Vec<Option<std::sync::Arc<crate::policy::RouteMap>>>,
+    export_policy: Vec<Option<Arc<RouteMap>>>,
+    /// Per peer index: the lowest peer index with an equal export map (or
+    /// equally none). Peers of one class share every memoized transform.
+    export_class: Vec<usize>,
     /// Precomputed per peer index: the export map matches on prefix, so
     /// the export memo must key on the prefix id too.
     export_prefix_sensitive: Vec<bool>,
@@ -158,8 +238,18 @@ pub struct BgpSpeaker {
     /// RIB work). Defaults to the null tracer: one discriminant check per
     /// site, no snapshots, no allocation.
     tracer: Tracer,
+    /// Peer indices whose session may hold queued events: it was fed
+    /// bytes or a transport change, a timer fired on it, or a sync sent on
+    /// it. [`BgpSpeaker::pump`] visits only these.
+    touched: Vec<usize>,
+    /// The last encoded image per sync group position: slot 0 the
+    /// withdrawals, slot `1 + g` announce group `g`.
+    images: Vec<Image>,
     // Reusable scratch (capacity persists across calls; contents do not).
-    scratch_events: Vec<(usize, SessionEvent)>,
+    scratch_visit: Vec<usize>,
+    scratch_events: Vec<SessionEvent>,
+    scratch_block: BytesMut,
+    scratch_prefixes: Vec<Ipv4Prefix>,
     scratch_affected: Vec<PrefixId>,
     scratch_newly_up: Vec<usize>,
     scratch_flush: Vec<PrefixId>,
@@ -167,7 +257,7 @@ pub struct BgpSpeaker {
     scratch_withdraws: Vec<PrefixId>,
     /// Announce groups; a sync uses a prefix of this list and reuses the
     /// inner buffers of earlier syncs.
-    scratch_groups: Vec<(AttrId, Vec<PrefixId>)>,
+    scratch_groups: Vec<(u32, Vec<PrefixId>)>,
     scratch_group_of: FastMap<u32, usize>,
 }
 
@@ -247,10 +337,12 @@ impl BgpSpeaker {
             sessions,
             rib,
             adj_out: vec![Vec::new(); n],
-            export_memo: vec![FastMap::default(); n],
+            exports: ExportBlocks::default(),
+            export_memo: FastMap::default(),
             export_hits: 0,
             export_misses: 0,
             import_policy,
+            export_class: export_classes(&export_policy),
             export_policy,
             export_prefix_sensitive,
             fib_view: Vec::new(),
@@ -260,7 +352,12 @@ impl BgpSpeaker {
             mrai_pending: vec![IdSet::new(); n],
             deadline_dirty: true,
             tracer: Tracer::default(),
+            touched: Vec::new(),
+            images: Vec::new(),
+            scratch_visit: Vec::new(),
             scratch_events: Vec::new(),
+            scratch_block: BytesMut::new(),
+            scratch_prefixes: Vec::new(),
             scratch_affected: Vec::new(),
             scratch_newly_up: Vec::new(),
             scratch_flush: Vec::new(),
@@ -356,6 +453,7 @@ impl BgpSpeaker {
         self.deadline_dirty = true;
         let mut moved = None;
         if let Some(pi) = self.peer_idx(peer) {
+            self.touched.push(pi);
             let s = &mut self.sessions[pi];
             let before = s.state();
             s.on_transport_up(now);
@@ -375,6 +473,7 @@ impl BgpSpeaker {
         self.deadline_dirty = true;
         let mut moved = None;
         if let Some(pi) = self.peer_idx(peer) {
+            self.touched.push(pi);
             let s = &mut self.sessions[pi];
             let before = s.state();
             s.on_transport_down(now);
@@ -394,6 +493,7 @@ impl BgpSpeaker {
         self.deadline_dirty = true;
         let mut moved = None;
         if let Some(pi) = self.peer_idx(peer) {
+            self.touched.push(pi);
             let s = &mut self.sessions[pi];
             let before = s.state();
             s.on_bytes(now, bytes);
@@ -417,8 +517,11 @@ impl BgpSpeaker {
         } else {
             Vec::new()
         };
-        for s in &mut self.sessions {
+        for (pi, s) in self.sessions.iter_mut().enumerate() {
             s.poll_timers(now);
+            if s.has_events() {
+                self.touched.push(pi);
+            }
         }
         self.trace_fsm_delta(&before, now);
         for pi in 0..self.sessions.len() {
@@ -524,63 +627,60 @@ impl BgpSpeaker {
         self.sessions.iter().map(|s| s.msgs_sent).sum()
     }
 
-    /// Processes queued session events until quiescent.
+    /// Processes queued session events until quiescent. Each pass visits
+    /// the sessions touched since the last one, in ascending peer index —
+    /// the order a scan of every session would find their events in.
     fn pump(&mut self, now: SimTime) {
-        loop {
-            let mut work = std::mem::take(&mut self.scratch_events);
-            work.clear();
-            for (pi, s) in self.sessions.iter_mut().enumerate() {
-                for ev in s.take_events() {
-                    work.push((pi, ev));
-                }
-            }
-            if work.is_empty() {
-                self.scratch_events = work;
-                return;
-            }
-            let mut affected = std::mem::take(&mut self.scratch_affected);
+        let mut visit = std::mem::take(&mut self.scratch_visit);
+        let mut events = std::mem::take(&mut self.scratch_events);
+        let mut affected = std::mem::take(&mut self.scratch_affected);
+        let mut newly_up = std::mem::take(&mut self.scratch_newly_up);
+        while !self.touched.is_empty() {
+            std::mem::swap(&mut visit, &mut self.touched);
+            visit.sort_unstable();
+            visit.dedup();
             affected.clear();
-            let mut newly_up = std::mem::take(&mut self.scratch_newly_up);
-            newly_up.clear();
-            for (pi, ev) in work.drain(..) {
+            for pi in visit.drain(..) {
                 let peer = self.peer_addrs[pi];
-                match ev {
-                    SessionEvent::SendBytes(bytes) => {
-                        self.outputs.push(SpeakerOutput::SendBytes { peer, bytes });
-                    }
-                    SessionEvent::Established => {
-                        newly_up.push(pi);
-                        self.outputs.push(SpeakerOutput::SessionUp { peer });
-                    }
-                    SessionEvent::Down(_) => {
-                        affected.extend(self.rib.drop_peer(peer));
-                        self.adj_out[pi].clear();
-                        self.mrai_pending[pi].clear();
-                        self.mrai_ready[pi] = SimTime::ZERO;
-                        self.outputs.push(SpeakerOutput::SessionDown { peer });
-                    }
-                    SessionEvent::Update(update) => {
-                        self.tracer.record(
-                            now,
-                            TraceData::BgpRx {
-                                peer: u32::from(peer),
-                                announced: update.nlri.len() as u32,
-                                withdrawn: update.withdrawn.len() as u32,
-                            },
-                        );
-                        // The single import-policy choke point: the peer's
-                        // route-map (if any) transforms or drops routes
-                        // before they are interned into the RIB.
-                        affected.extend(self.rib.update_from_peer_policed(
-                            peer,
-                            true,
-                            &update,
-                            self.import_policy[pi].as_deref(),
-                        ));
+                self.sessions[pi].swap_events(&mut events);
+                for ev in events.drain(..) {
+                    match ev {
+                        SessionEvent::SendBytes(bytes) => {
+                            self.outputs.push(SpeakerOutput::SendBytes { peer, bytes });
+                        }
+                        SessionEvent::Established => {
+                            newly_up.push(pi);
+                            self.outputs.push(SpeakerOutput::SessionUp { peer });
+                        }
+                        SessionEvent::Down(_) => {
+                            affected.extend(self.rib.drop_peer(peer));
+                            self.adj_out[pi].clear();
+                            self.mrai_pending[pi].clear();
+                            self.mrai_ready[pi] = SimTime::ZERO;
+                            self.outputs.push(SpeakerOutput::SessionDown { peer });
+                        }
+                        SessionEvent::Update(update) => {
+                            self.tracer.record(
+                                now,
+                                TraceData::BgpRx {
+                                    peer: u32::from(peer),
+                                    announced: update.nlri.len() as u32,
+                                    withdrawn: update.withdrawn.len() as u32,
+                                },
+                            );
+                            // The single import-policy choke point: the
+                            // peer's route-map (if any) transforms or drops
+                            // routes before they are interned into the RIB.
+                            affected.extend(self.rib.update_from_peer_policed(
+                                peer,
+                                true,
+                                &update,
+                                self.import_policy[pi].as_deref(),
+                            ));
+                        }
                     }
                 }
             }
-            self.scratch_events = work;
             if !newly_up.is_empty() {
                 // One read of the persistent live-prefix index, and one
                 // decision per live prefix, serve every newly established
@@ -591,17 +691,22 @@ impl BgpSpeaker {
                 }
                 self.scratch_decided = decided;
             }
-            self.scratch_newly_up = newly_up;
             if !affected.is_empty() {
                 // Per-event slices are each value-sorted; merge the
                 // concatenation back into one sorted, deduped slice.
                 self.rib.sort_ids_by_value(&mut affected);
-                let ids = std::mem::take(&mut affected);
-                self.reconcile(&ids, now);
-                affected = ids;
+                self.reconcile(&affected, now);
             }
-            self.scratch_affected = affected;
         }
+        self.scratch_visit = visit;
+        self.scratch_events = events;
+        self.scratch_affected = affected;
+        self.scratch_newly_up = newly_up;
+        // Slots 0 and 1 serve the usual sync — some withdrawals, one
+        // announce group — without allocating. A full-table sync borrows a
+        // slot per distinct attribute set; kept on every speaker of a run,
+        // those buffers would cost more memory than they save time.
+        self.images.truncate(2);
     }
 
     /// Reads the current decision of every prefix in `ids` into the
@@ -705,9 +810,9 @@ impl BgpSpeaker {
         let held = !mrai.is_zero() && now < self.mrai_ready[pi];
         let mut withdraws = std::mem::take(&mut self.scratch_withdraws);
         withdraws.clear();
-        // Announcement batches grouped by interned attr id, in
-        // first-occurrence order so the emitted UPDATE sequence is
-        // byte-identical to the address-keyed implementation.
+        // Announcement batches grouped by export id, in first-occurrence
+        // order so the emitted UPDATE sequence is byte-identical to the
+        // address-keyed implementation.
         let mut groups = std::mem::take(&mut self.scratch_groups);
         let mut used = 0;
         let mut group_of = std::mem::take(&mut self.scratch_group_of);
@@ -715,22 +820,21 @@ impl BgpSpeaker {
         for &(id, best) in decided {
             let desired = best.and_then(|b| self.export_route(pi, id, &b));
             let row = &mut self.adj_out[pi];
-            let current = row.get(id.index()).copied().unwrap_or(NO_ATTR);
+            let current = row.get(id.index()).copied().unwrap_or(NOT_ADVERTISED);
             match desired {
-                None if current != NO_ATTR => {
+                None if current != NOT_ADVERTISED => {
                     withdraws.push(id);
-                    row[id.index()] = NO_ATTR;
+                    row[id.index()] = NOT_ADVERTISED;
                     // A pending announcement for a now-withdrawn prefix is
                     // obsolete.
                     self.mrai_pending[pi].remove(id.0);
                 }
-                Some(want) if current != want.index() => {
+                Some(want) if current != want => {
                     if held {
                         self.mrai_pending[pi].insert(id.0);
                         continue;
                     }
-                    let raw = want.index();
-                    let g = *group_of.entry(raw).or_insert_with(|| {
+                    let g = *group_of.entry(want).or_insert_with(|| {
                         if used == groups.len() {
                             groups.push((want, Vec::new()));
                         } else {
@@ -742,17 +846,15 @@ impl BgpSpeaker {
                     });
                     groups[g].1.push(id);
                     if id.index() >= row.len() {
-                        row.resize(id.index() + 1, NO_ATTR);
+                        row.resize(id.index() + 1, NOT_ADVERTISED);
                     }
-                    row[id.index()] = raw;
+                    row[id.index()] = want;
                 }
                 _ => {}
             }
         }
         if !withdraws.is_empty() || used > 0 {
-            // One table read turns every id of this sync back into its
-            // prefix, straight into the UPDATEs' own vectors.
-            let table = self.rib.prefix_table();
+            self.touched.push(pi);
             let peer = u32::from(self.peer_addrs[pi]);
             if !withdraws.is_empty() {
                 self.tracer.record(
@@ -763,13 +865,9 @@ impl BgpSpeaker {
                         withdrawn: withdraws.len() as u32,
                     },
                 );
-                self.sessions[pi].send_update(UpdateMsg {
-                    withdrawn: withdraws.iter().map(|&id| table.value(id)).collect(),
-                    attrs: None,
-                    nlri: vec![],
-                });
+                self.send_image(pi, 0, NOT_ADVERTISED, &withdraws);
             }
-            for (attr, ids) in &groups[..used] {
+            for (g, (export, ids)) in groups[..used].iter().enumerate() {
                 self.tracer.record(
                     now,
                     TraceData::BgpTx {
@@ -778,12 +876,7 @@ impl BgpSpeaker {
                         withdrawn: 0,
                     },
                 );
-                self.sessions[pi].send_update(UpdateMsg {
-                    withdrawn: vec![],
-                    // The UPDATE shares the store's canonical allocation.
-                    attrs: Some(self.rib.attrs_of(*attr)),
-                    nlri: ids.iter().map(|&id| table.value(id)).collect(),
-                });
+                self.send_image(pi, 1 + g, *export, ids);
             }
         }
         if used > 0 && !mrai.is_zero() {
@@ -794,77 +887,150 @@ impl BgpSpeaker {
         self.scratch_group_of = group_of;
     }
 
-    /// eBGP export for the peer at index `pi`: split horizon, then the
-    /// peer's export route-map (if any — the single export-policy choke
-    /// point), then the standard transform: prepend own AS, next-hop-self,
-    /// strip LOCAL_PREF and MED. The export set block composes with the
-    /// standard transform: `add/del_communities` edit the outgoing
-    /// communities, `prepend` adds extra own-AS copies, `med` survives the
-    /// strip (the sender deliberately signals the neighbor), `local_pref`
-    /// is ignored (never sent over eBGP). The transform (everything past
-    /// split horizon) is memoized per `(peer, AttrId, prefix?)`.
-    fn export_route(&mut self, pi: usize, id: PrefixId, best: &BestPath) -> Option<AttrId> {
+    /// Sends the peer at index `pi` the UPDATE(s) announcing `ids` with
+    /// export `export` ([`NOT_ADVERTISED`]: withdrawing them), from the
+    /// image in `slot`: encoded here if the image holds another group,
+    /// copied with the peer's own address as NEXT_HOP either way. An image
+    /// stays valid for as long as it is kept — export ids and prefix ids
+    /// never change meaning.
+    fn send_image(&mut self, pi: usize, slot: usize, export: u32, ids: &[PrefixId]) {
+        if self.images.len() <= slot {
+            self.images.resize_with(slot + 1, Image::default);
+        }
+        let image = &mut self.images[slot];
+        let announce = export != NOT_ADVERTISED;
+        if image.export != export || image.ids != ids {
+            image.export = export;
+            image.ids.clear();
+            image.ids.extend_from_slice(ids);
+            image.bytes.clear();
+            image.ends.clear();
+            // One table read turns every id of the group back into its
+            // prefix.
+            let table = self.rib.prefix_table();
+            self.scratch_prefixes.clear();
+            self.scratch_prefixes
+                .extend(ids.iter().map(|&id| table.value(id)));
+            let block = if announce {
+                let (block, next_hop_at) = &self.exports.blocks[export as usize];
+                image.next_hop_at = announce_next_hop_offset(*next_hop_at);
+                Some(&block[..])
+            } else {
+                None
+            };
+            encode_updates(
+                block,
+                &self.scratch_prefixes,
+                &mut image.bytes,
+                &mut image.ends,
+            );
+        }
+        let session = &mut self.sessions[pi];
+        let next_hop = session.config.local_addr.octets();
+        let mut start = 0;
+        for &end in &image.ends {
+            if announce {
+                let at = start + image.next_hop_at;
+                image.bytes[at..at + 4].copy_from_slice(&next_hop);
+            }
+            session.send_encoded_update(Bytes::copy_from_slice(&image.bytes[start..end]));
+            start = end;
+        }
+    }
+
+    /// eBGP export for the peer at index `pi`, as an export id: split
+    /// horizon, then the memoized class transform
+    /// ([`BgpSpeaker::export_transform`]), then the loop check — sending a
+    /// path containing the peer's AS would be rejected by its loop check
+    /// anyway; suppress it to save messages (common policy).
+    fn export_route(&mut self, pi: usize, id: PrefixId, best: &BestPath) -> Option<u32> {
         if best.peer == self.peer_addrs[pi] {
             return None; // split horizon
         }
+        let class = self.export_class[pi];
         let pfx_key = if self.export_prefix_sensitive[pi] {
             id.0 + 1
         } else {
             0
         };
-        let key = (best.attr_id.index(), pfx_key);
-        if let Some(cached) = self.export_memo[pi].get(&key) {
-            self.export_hits += 1;
-            return *cached;
-        }
-        self.export_misses += 1;
-        let cfg = &self.sessions[pi].config;
-        let (remote_as, local_addr) = (cfg.remote_as, cfg.local_addr);
-        let attrs = self.rib.attrs_of(best.attr_id);
-        // Sending a path containing the peer's AS would be rejected by its
-        // loop check anyway; suppress it to save messages (common policy).
-        let exported = 'exp: {
-            if attrs.contains_asn(remote_as) {
-                break 'exp None;
+        let key = (best.attr_id.index(), class as u32, pfx_key);
+        let exported = match self.export_memo.get(&key) {
+            Some(memoized) => {
+                self.export_hits += 1;
+                memoized
             }
-            // The route-map matches against the Loc-RIB attributes
-            // (pre-prepend, communities and local-pref intact).
-            let set = match self.export_policy[pi].as_deref() {
-                None => None,
-                Some(map) => {
-                    use crate::policy::PolicyAction;
-                    let prefix = self.rib.prefix_value(id);
-                    match map.first_match(prefix, &attrs) {
-                        Some(i) if map.clauses[i].action == PolicyAction::Permit => {
-                            Some(&map.clauses[i].set)
-                        }
-                        // Deny clause or no match: implicit deny.
-                        _ => break 'exp None,
-                    }
-                }
-            };
-            let mut out = (*attrs).clone();
-            if let Some(set) = set {
-                if !set.del_communities.is_empty() {
-                    out.communities.retain(|c| !set.del_communities.contains(c));
-                }
-                if !set.add_communities.is_empty() {
-                    out.communities.extend_from_slice(&set.add_communities);
-                    out.communities.sort_unstable();
-                    out.communities.dedup();
-                }
+            None => {
+                self.export_misses += 1;
+                let exported = self.export_transform(class, id, best);
+                self.export_memo.entry(key).or_insert(exported)
             }
-            // Own AS once, plus the policy's extra copies.
-            for _ in 0..=set.map_or(0, |s| s.prepend) {
-                out.prepend(self.config.asn);
-            }
-            out.next_hop = local_addr;
-            out.local_pref = None;
-            out.med = set.and_then(|s| s.med);
-            Some(self.rib.intern_attrs(out))
         };
-        self.export_memo[pi].insert(key, exported);
-        exported
+        let exported = exported.as_ref()?;
+        if exported
+            .best
+            .contains_asn(self.sessions[pi].config.remote_as)
+        {
+            return None;
+        }
+        Some(exported.id)
+    }
+
+    /// The part of the export every peer of an export class shares: the
+    /// class's export route-map (if any — the single export-policy choke
+    /// point), then the standard transform: prepend own AS, strip
+    /// LOCAL_PREF and MED, leave NEXT_HOP open for next-hop-self. The
+    /// export set block composes with the standard transform:
+    /// `add/del_communities` edit the outgoing communities, `prepend` adds
+    /// extra own-AS copies, `med` survives the strip (the sender
+    /// deliberately signals the neighbor), `local_pref` is ignored (never
+    /// sent over eBGP). `None`: the map denies the route.
+    fn export_transform(
+        &mut self,
+        class: usize,
+        id: PrefixId,
+        best: &BestPath,
+    ) -> Option<Exported> {
+        let attrs = self.rib.attrs_of(best.attr_id);
+        // The route-map matches against the Loc-RIB attributes
+        // (pre-prepend, communities and local-pref intact).
+        let set = match self.export_policy[class].as_deref() {
+            None => None,
+            Some(map) => {
+                use crate::policy::PolicyAction;
+                let prefix = self.rib.prefix_value(id);
+                match map.first_match(prefix, &attrs) {
+                    Some(i) if map.clauses[i].action == PolicyAction::Permit => {
+                        Some(&map.clauses[i].set)
+                    }
+                    // Deny clause or no match: implicit deny.
+                    _ => return None,
+                }
+            }
+        };
+        let mut out = (*attrs).clone();
+        if let Some(set) = set {
+            if !set.del_communities.is_empty() {
+                out.communities.retain(|c| !set.del_communities.contains(c));
+            }
+            if !set.add_communities.is_empty() {
+                out.communities.extend_from_slice(&set.add_communities);
+                out.communities.sort_unstable();
+                out.communities.dedup();
+            }
+        }
+        // Own AS once, plus the policy's extra copies.
+        for _ in 0..=set.map_or(0, |s| s.prepend) {
+            out.prepend(self.config.asn);
+        }
+        out.next_hop = Ipv4Addr::UNSPECIFIED;
+        out.local_pref = None;
+        out.med = set.and_then(|s| s.med);
+        self.scratch_block.clear();
+        let next_hop_at = encode_attrs(&out, &mut self.scratch_block);
+        Some(Exported {
+            id: self.exports.intern(&self.scratch_block, next_hop_at),
+            best: attrs,
+        })
     }
 
     /// Swaps the import/export route-maps for `peer` at runtime. Takes
@@ -873,9 +1039,9 @@ impl BgpSpeaker {
     /// already sent stay as they are until their prefix is next reconciled
     /// or the session re-syncs (a real router requires a route refresh for
     /// both too). Everything memoized under the old policy is dropped here:
-    /// the peer's export memo, and every prefix's synced identity — the
-    /// same best path may now export differently, so the next reconcile of
-    /// any prefix must visit the peers again.
+    /// the export memo (classes are renumbered), and every prefix's synced
+    /// identity — the same best path may now export differently, so the
+    /// next reconcile of any prefix must visit the peers again.
     pub fn set_peer_policy(&mut self, peer: Ipv4Addr, policy: crate::policy::PeerPolicy) {
         let Some(pi) = self.peer_idx(peer) else {
             return;
@@ -886,11 +1052,20 @@ impl BgpSpeaker {
             .as_deref()
             .is_some_and(|m| m.prefix_sensitive());
         self.export_policy[pi] = policy.export.clone();
+        self.export_class = export_classes(&self.export_policy);
         self.config.policies.insert(peer, policy);
-        self.export_memo[pi].clear();
+        self.export_memo.clear();
         self.rib.reset_synced();
         self.deadline_dirty = true;
     }
+}
+
+/// Per peer index, the lowest peer index whose export map is equal (the
+/// same `Arc`, equal clauses, or equally absent).
+fn export_classes(maps: &[Option<Arc<RouteMap>>]) -> Vec<usize> {
+    (0..maps.len())
+        .map(|pi| (0..pi).find(|&c| maps[c] == maps[pi]).unwrap_or(pi))
+        .collect()
 }
 
 /// The parallel pump hands disjoint `&mut BgpSpeaker`s to worker threads
@@ -1483,6 +1658,61 @@ mod tests {
     }
 
     #[test]
+    fn one_export_transform_serves_every_peer_of_a_change() {
+        // r2 learns a new prefix from r1 and owes it to r3 and r4 (r1 is
+        // split horizon): one transform, one more peer served from it, and
+        // two UPDATEs that differ only in their NEXT_HOP.
+        let mut h = square(0, vec![]);
+        let before = h.speakers[1].rib_stats();
+        h.speakers[0].originate("10.42.0.0/16".parse().unwrap(), SimTime::from_secs(1));
+        let from_r1: Vec<Bytes> = h.speakers[0]
+            .take_outputs()
+            .into_iter()
+            .filter_map(|o| match o {
+                SpeakerOutput::SendBytes { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        for bytes in from_r1 {
+            h.speakers[1].on_bytes(addr(12, 1), SimTime::from_secs(1), &bytes);
+        }
+        let after = h.speakers[1].rib_stats();
+        assert_eq!(
+            (after.export_cache_misses, after.export_cache_hits),
+            (before.export_cache_misses + 1, before.export_cache_hits + 1)
+        );
+        let sent: Vec<(Ipv4Addr, crate::msg::UpdateMsg)> = h.speakers[1]
+            .take_outputs()
+            .into_iter()
+            .filter_map(|o| match o {
+                SpeakerOutput::SendBytes { peer, bytes } => {
+                    match crate::msg::Message::decode(&bytes) {
+                        Ok(Some((crate::msg::Message::Update(u), _))) => Some((peer, u)),
+                        other => panic!("expected one UPDATE, got {other:?}"),
+                    }
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 2);
+        for ((peer, update), local) in sent.iter().zip([addr(23, 2), addr(24, 2)]) {
+            let attrs = update.attrs.as_deref().expect("an announcement");
+            assert_eq!(attrs.next_hop, local, "next-hop-self toward {peer}");
+            assert_eq!(attrs.as_path_len(), 2);
+        }
+        assert_eq!(
+            PathAttributes {
+                next_hop: Ipv4Addr::UNSPECIFIED,
+                ..(**sent[0].1.attrs.as_ref().unwrap()).clone()
+            },
+            PathAttributes {
+                next_hop: Ipv4Addr::UNSPECIFIED,
+                ..(**sent[1].1.attrs.as_ref().unwrap()).clone()
+            }
+        );
+    }
+
+    #[test]
     fn export_cache_batches_shared_attrs_and_keeps_withdrawal_bypass() {
         // r1 -- r2 -- r3; r2 enforces a 5 s MRAI toward its peers. Two
         // prefixes that share one attribute set must flush as a SINGLE
@@ -2013,7 +2243,7 @@ mod tests {
         for round in 0..8u64 {
             let policy = if round % 2 == 0 { &permit } else { &deny };
             h.speakers[0].set_peer_policy(addr4(10, 9, 1, 2), policy.clone());
-            assert!(h.speakers[0].export_memo[0].is_empty(), "swap clears");
+            assert!(h.speakers[0].export_memo.is_empty(), "swap clears");
             let t = SimTime::from_secs(1 + round);
             h.speakers[0].on_transport_down(addr4(10, 9, 1, 2), t);
             h.speakers[1].on_transport_down(addr4(10, 9, 1, 1), t);
@@ -2026,7 +2256,7 @@ mod tests {
                 round % 2 == 0,
                 "round {round}: the installed policy decides"
             );
-            assert_eq!(h.speakers[0].export_memo[0].len(), 1, "round {round}");
+            assert_eq!(h.speakers[0].export_memo.len(), 1, "round {round}");
         }
     }
 

@@ -577,6 +577,15 @@ impl BgpControl {
         self.stats.steps += 1;
         self.stats.nodes_total += self.speakers.len() as u64;
         self.changed.clear();
+        // Most steps of a quiet network touch no node: nothing was woken,
+        // nothing is in flight and no deadline has been reached.
+        if self.mode == PumpMode::Readiness
+            && self.dirty.is_empty()
+            && self.in_flight.is_empty()
+            && self.wheel.next_deadline().is_none_or(|d| d > now)
+        {
+            return PumpOutcome::default();
+        }
         let mut out = PumpOutcome::default();
         // 1. Ready set: last step's message destinations, fired deadlines,
         // and nodes woken by transport/link events.

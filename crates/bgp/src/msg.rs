@@ -220,21 +220,36 @@ pub struct OpenMsg {
     pub capabilities: Vec<Capability>,
 }
 
-/// An UPDATE message.
+/// An UPDATE's three sections, its path attributes in whatever form `A`
+/// the reader wants them: decoded ([`UpdateMsg`]), or resolved against an
+/// attribute pool without decoding ([`crate::session::RxUpdate`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Update<A> {
+    /// Prefixes withdrawn.
+    pub withdrawn: Vec<Ipv4Prefix>,
+    /// Attributes for the announced NLRI (None when only withdrawing).
+    pub attrs: Option<A>,
+    /// Prefixes announced with `attrs`.
+    pub nlri: Vec<Ipv4Prefix>,
+}
+
+impl<A> Default for Update<A> {
+    fn default() -> Self {
+        Update {
+            withdrawn: Vec::new(),
+            attrs: None,
+            nlri: Vec::new(),
+        }
+    }
+}
+
+/// An UPDATE message with decoded attributes.
 ///
 /// Attributes ride behind an [`Arc`] so a message built from an interned
 /// attribute set (see [`crate::rib::AttrStore`]) shares the canonical
 /// allocation instead of deep-cloning the nested AS-path vectors; the wire
 /// encoding is unchanged.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct UpdateMsg {
-    /// Prefixes withdrawn.
-    pub withdrawn: Vec<Ipv4Prefix>,
-    /// Attributes for the announced NLRI (None when only withdrawing).
-    pub attrs: Option<Arc<PathAttributes>>,
-    /// Prefixes announced with `attrs`.
-    pub nlri: Vec<Ipv4Prefix>,
-}
+pub type UpdateMsg = Update<Arc<PathAttributes>>;
 
 impl UpdateMsg {
     /// Fixed per-UPDATE overhead: header plus the withdrawn-routes-length
@@ -428,6 +443,39 @@ impl Message {
     /// Decodes one message from `buf` if a complete one is present.
     /// Returns `(message, bytes_consumed)`.
     pub fn decode(buf: &[u8]) -> Result<Option<(Message, usize)>, CodecError> {
+        let decoded = Frame::decode(buf, |block| decode_attrs(block).map(Arc::new))?;
+        Ok(decoded.map(|(frame, len)| (frame.into_message(), len)))
+    }
+}
+
+/// One message off the wire, an UPDATE's path-attribute block turned into
+/// an `A` by the caller (see [`Frame::decode`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Frame<A> {
+    /// An UPDATE.
+    Update(Update<A>),
+    /// Any other message (never [`Message::Update`]).
+    Other(Message),
+}
+
+impl Frame<Arc<PathAttributes>> {
+    fn into_message(self) -> Message {
+        match self {
+            Frame::Update(u) => Message::Update(u),
+            Frame::Other(m) => m,
+        }
+    }
+}
+
+impl<A> Frame<A> {
+    /// [`Message::decode`] with the attribute block of an UPDATE handed to
+    /// `attrs` in its wire position — after the withdrawn routes, before the
+    /// NLRI — so a malformed message fails at the same check whatever
+    /// `attrs` does with a well-formed block.
+    pub(crate) fn decode(
+        buf: &[u8],
+        attrs: impl FnOnce(&[u8]) -> Result<A, CodecError>,
+    ) -> Result<Option<(Frame<A>, usize)>, CodecError> {
         if buf.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -445,7 +493,7 @@ impl Message {
         let mut body = &buf[HEADER_LEN..len];
         let msg = match msg_type {
             1 => Message::Open(decode_open(&mut body)?),
-            2 => Message::Update(decode_update(&mut body)?),
+            2 => return Ok(Some((Frame::Update(decode_update(&mut body, attrs)?), len))),
             3 => {
                 if body.len() < 2 {
                     return Err(CodecError::Truncated("notification"));
@@ -466,7 +514,7 @@ impl Message {
             }
             t => return Err(CodecError::BadType(t)),
         };
-        Ok(Some((msg, len)))
+        Ok(Some((Frame::Other(msg), len)))
     }
 }
 
@@ -761,7 +809,8 @@ fn attrs_wire_len(a: &PathAttributes) -> usize {
     n
 }
 
-fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, CodecError> {
+/// Decodes and validates an UPDATE's path-attribute block.
+pub(crate) fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, CodecError> {
     let mut origin = None;
     let mut as_path = None;
     let mut next_hop = None;
@@ -866,6 +915,38 @@ fn decode_attrs(mut buf: &[u8]) -> Result<PathAttributes, CodecError> {
     })
 }
 
+/// Offset of the NEXT_HOP value in a path-attribute block, found by walking
+/// the attribute headers only. `None` unless every header and length is in
+/// bounds and exactly one NEXT_HOP with a 4-byte value is present — the
+/// blocks whose validity cannot depend on what those four bytes hold
+/// (the receive path's wire index keys on the rest of the block).
+pub(crate) fn next_hop_offset(mut block: &[u8]) -> Option<usize> {
+    let total = block.len();
+    let mut found = None;
+    while !block.is_empty() {
+        let (flags, type_code) = (*block.first()?, *block.get(1)?);
+        let (header, len) = if flags & ATTR_FLAG_EXTENDED != 0 {
+            (
+                4,
+                u16::from_be_bytes([*block.get(2)?, *block.get(3)?]) as usize,
+            )
+        } else {
+            (3, *block.get(2)? as usize)
+        };
+        if block.len() < header + len {
+            return None;
+        }
+        if type_code == 3 {
+            if found.is_some() || len != 4 {
+                return None;
+            }
+            found = Some(total - block.len() + header);
+        }
+        block = &block[header + len..];
+    }
+    found
+}
+
 /// Appends one whole UPDATE — header included — to `buf`: the single
 /// writer of the UPDATE framing. `put_attrs` appends the path-attribute
 /// block (nothing for a withdraw-only message); the message length and the
@@ -897,14 +978,36 @@ pub(crate) const fn announce_next_hop_offset(next_hop_at: usize) -> usize {
     UpdateMsg::FIXED_LEN + next_hop_at
 }
 
+/// An announcement no UPDATE can carry: the prefix does not fit behind its
+/// attribute block within [`MAX_MESSAGE_LEN`], even in a message of its
+/// own. A received near-maximal block plus the own-AS prepend of the
+/// export gets here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Unsendable {
+    /// The prefix that cannot be announced.
+    pub prefix: Ipv4Prefix,
+    /// Length of the encoded attribute block it would have to follow.
+    pub attrs_len: usize,
+}
+
+/// Checks that an UPDATE can announce `prefix` behind an attribute block
+/// of `attrs_len` bytes.
+pub(crate) fn check_announce(attrs_len: usize, prefix: Ipv4Prefix) -> Result<(), Unsendable> {
+    if UpdateMsg::FIXED_LEN + attrs_len + prefix_wire_len(&prefix) <= MAX_MESSAGE_LEN {
+        Ok(())
+    } else {
+        Err(Unsendable { prefix, attrs_len })
+    }
+}
+
 /// Appends to `out` the UPDATE(s) carrying `prefixes` — announced with the
 /// already encoded attribute block `attrs`, or withdrawn when it is `None`
 /// — and pushes each message's end offset in `out` onto `ends`. Each
 /// message takes the longest run of prefixes that fits
 /// [`MAX_MESSAGE_LEN`], which is how [`UpdateMsg::split_to_fit`] splits the
 /// equivalent message (the tests hold the two together; they share no
-/// code). Panics if a prefix does not fit a message of its own behind
-/// `attrs`.
+/// code). Every announced prefix must pass [`check_announce`] behind
+/// `attrs`; the speaker withholds those that do not before it gets here.
 pub(crate) fn encode_updates(
     attrs: Option<&[u8]>,
     prefixes: &[Ipv4Prefix],
@@ -925,9 +1028,10 @@ pub(crate) fn encode_updates(
     let (mut start, mut used) = (0, base);
     for (i, p) in prefixes.iter().enumerate() {
         let w = prefix_wire_len(p);
-        assert!(
-            base + w <= MAX_MESSAGE_LEN,
-            "{base} bytes of header and path attributes leave no room for {p}"
+        debug_assert!(
+            check_announce(block.len(), *p).is_ok(),
+            "{p} cannot follow {} bytes of path attributes",
+            block.len()
         );
         if used + w > MAX_MESSAGE_LEN {
             put_run(&prefixes[start..i]);
@@ -941,7 +1045,10 @@ pub(crate) fn encode_updates(
     }
 }
 
-fn decode_update(buf: &mut &[u8]) -> Result<UpdateMsg, CodecError> {
+fn decode_update<A>(
+    buf: &mut &[u8],
+    decode_block: impl FnOnce(&[u8]) -> Result<A, CodecError>,
+) -> Result<Update<A>, CodecError> {
     if buf.len() < 2 {
         return Err(CodecError::Truncated("update withdrawn length"));
     }
@@ -967,7 +1074,7 @@ fn decode_update(buf: &mut &[u8]) -> Result<UpdateMsg, CodecError> {
     let attrs = if alen == 0 {
         None
     } else {
-        Some(Arc::new(decode_attrs(abuf)?))
+        Some(decode_block(abuf)?)
     };
     let mut nlri = Vec::new();
     let mut nbuf = *buf;
@@ -978,7 +1085,7 @@ fn decode_update(buf: &mut &[u8]) -> Result<UpdateMsg, CodecError> {
     if attrs.is_none() && !nlri.is_empty() {
         return Err(CodecError::Malformed("nlri without attributes"));
     }
-    Ok(UpdateMsg {
+    Ok(Update {
         withdrawn,
         attrs,
         nlri,
@@ -1011,7 +1118,17 @@ impl StreamDecoder {
     // reach the session so it can emit a NOTIFICATION before closing.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Message>, CodecError> {
-        let Some((msg, consumed)) = Message::decode(&self.buf[self.read..])? else {
+        let frame = self.next_frame(|block| decode_attrs(block).map(Arc::new))?;
+        Ok(frame.map(Frame::into_message))
+    }
+
+    /// [`StreamDecoder::next`] with an UPDATE's attribute block handed to
+    /// `attrs` (see [`Frame::decode`]).
+    pub(crate) fn next_frame<A>(
+        &mut self,
+        attrs: impl FnOnce(&[u8]) -> Result<A, CodecError>,
+    ) -> Result<Option<Frame<A>>, CodecError> {
+        let Some((msg, consumed)) = Frame::decode(&self.buf[self.read..], attrs)? else {
             return Ok(None);
         };
         self.read += consumed;
@@ -1365,11 +1482,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "leave no room for 77.1.2.0/24")]
-    fn prefix_that_cannot_follow_its_attribute_block_panics() {
+    fn prefix_that_cannot_follow_its_attribute_block_is_unsendable() {
+        // 23 + 4070 + 4 is one byte over: a /24 cannot be announced behind
+        // this block, a /16 can, and one byte less of block lets the /24.
         let (_, block) = attrs_of_block_len(4070);
-        let (mut out, mut ends) = (BytesMut::new(), Vec::new());
-        encode_updates(Some(&block), &[pfx("77.1.2.0/24")], &mut out, &mut ends);
+        let p24 = pfx("77.1.2.0/24");
+        assert_eq!(
+            check_announce(block.len(), p24),
+            Err(Unsendable {
+                prefix: p24,
+                attrs_len: 4070
+            })
+        );
+        assert_eq!(check_announce(block.len(), pfx("77.1.0.0/16")), Ok(()));
+        assert_eq!(check_announce(4069, p24), Ok(()));
     }
 
     #[test]

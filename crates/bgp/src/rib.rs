@@ -19,8 +19,9 @@
 //!
 //! ## Compact-id memory shape
 //!
-//! Fat-tree convergence produces thousands of routes but only a handful of
-//! distinct attribute sets. The speaker reads each affected prefix's
+//! Convergence produces one distinct attribute set per best-path change
+//! that is exported, received by every neighbour of the sender, and many
+//! routes per set. The speaker reads each affected prefix's
 //! decision **once** per reconcile and hands it down to the per-peer syncs
 //! (see "UPDATE fast path" in DESIGN.md), so everything a reader needs must
 //! be plain data in the memo. This RIB stores **nothing keyed by an address
@@ -33,6 +34,12 @@
 //!   [`AttrPool`] wraps the store in a shared handle so every speaker in a
 //!   run interns each attribute set **once per process**, not once per
 //!   speaker.
+//! * Stored sets carry no NEXT_HOP (it is always `0.0.0.0` in the store):
+//!   each sender rewrites it to itself, so the receivers of one fan-out
+//!   share one entry, and each candidate keeps its own next hop. A received
+//!   attribute block resolves to its entry through a wire index keyed by
+//!   the block's bytes minus NEXT_HOP (`AttrPool::resolve_wire`), so only
+//!   the first receiver of a block decodes it.
 //! * Prefixes and peer addresses are interned to `u32` ids
 //!   ([`PrefixId`]/[`PeerId`], first-intern order, same discipline as
 //!   `AttrId`). The candidate index, decision cache and per-peer Adj-RIB-In
@@ -57,15 +64,18 @@
 //! reference model `tests/prop_rib_differential.rs` drives in lockstep
 //! with this one.
 
-use crate::msg::{Origin, PathAttributes, UpdateMsg};
+use crate::msg::{
+    decode_attrs, next_hop_offset, AsPathSegment, CodecError, Origin, PathAttributes, UpdateMsg,
+};
 use horse_net::addr::Ipv4Prefix;
 use horse_net::intern::{
-    fast_hash, FastMap, IdSet, PeerInterner, PrefixId, PrefixInterner, PrefixPool,
+    fast_hash, FastHasher, FastMap, IdSet, PeerInterner, PrefixId, PrefixInterner, PrefixPool,
 };
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Stable identifier of an interned attribute set inside one [`AttrStore`].
 ///
@@ -84,15 +94,20 @@ impl AttrId {
 /// One interned attribute set plus its precomputed ranking inputs.
 #[derive(Debug, Clone)]
 pub(crate) struct AttrMeta {
+    /// The canonical set: NEXT_HOP is `0.0.0.0`.
     pub(crate) attrs: Arc<PathAttributes>,
     pub(crate) local_pref: u32,
     pub(crate) path_len: u32,
     pub(crate) origin_rank: u8,
     pub(crate) med: u32,
     pub(crate) neighbor_as: Option<u16>,
-    /// The next older entry whose attribute set has the same 64-bit hash.
-    same_hash: Option<AttrId>,
+    /// Index of the next older entry whose attribute set has the same
+    /// 64-bit hash ([`NO_ENTRY`]: none).
+    same_hash: u32,
 }
+
+/// End of a same-hash chain.
+const NO_ENTRY: u32 = u32::MAX;
 
 /// An attribute set on its way into the store: borrowed from a decoded
 /// UPDATE (a miss shares that allocation) or owned (a miss moves it into a
@@ -110,27 +125,104 @@ impl AttrSrc<'_> {
         }
     }
 
-    fn into_shared(self) -> Arc<PathAttributes> {
+    /// The set as the store keeps it: NEXT_HOP `0.0.0.0`, sharing the
+    /// caller's allocation when it already is.
+    fn into_canonical(self) -> Arc<PathAttributes> {
         match self {
-            AttrSrc::Shared(a) => Arc::clone(a),
-            AttrSrc::Owned(a) => Arc::new(a),
+            AttrSrc::Shared(a) if a.next_hop.is_unspecified() => Arc::clone(a),
+            AttrSrc::Shared(a) => Arc::new(PathAttributes {
+                next_hop: Ipv4Addr::UNSPECIFIED,
+                ..(**a).clone()
+            }),
+            AttrSrc::Owned(mut a) => {
+                a.next_hop = Ipv4Addr::UNSPECIFIED;
+                Arc::new(a)
+            }
         }
     }
 }
 
-/// Hash-consing store for [`PathAttributes`].
+/// Everything in an attribute set but its NEXT_HOP: what the store hashes
+/// and compares.
+type CanonKey<'a> = (
+    Origin,
+    &'a [AsPathSegment],
+    Option<u32>,
+    Option<u32>,
+    &'a [u32],
+    &'a [(u8, u8, Vec<u8>)],
+);
+
+fn canon_key(a: &PathAttributes) -> CanonKey<'_> {
+    (
+        a.origin,
+        &a.as_path,
+        a.med,
+        a.local_pref,
+        &a.communities,
+        &a.unknown,
+    )
+}
+
+/// The top bit of an [`AttrId`], never set in an id (asserted at insert):
+/// [`CandEntry`] keeps the eBGP flag there.
+const EBGP_BIT: u32 = 1 << 31;
+
+/// The wire index's key for a received path-attribute block: the offset
+/// of its NEXT_HOP value and the [`FastHasher`] hash of the block with
+/// those four bytes zeroed — equal to hashing the zeroed copy with one
+/// `write`, computed without making it. `None` for blocks the index does
+/// not take (see `msg::next_hop_offset`); they are decoded every time.
+fn wire_key(block: &[u8]) -> Option<(usize, u64)> {
+    let at = next_hop_offset(block)?;
+    // The one or two 8-byte words the NEXT_HOP value overlaps are hashed
+    // from a masked copy; the words before and after go in as they are.
+    let word = at & !7;
+    let end = (word + 16).min(block.len());
+    let mut masked = [0u8; 16];
+    masked[..end - word].copy_from_slice(&block[word..end]);
+    masked[at - word..at - word + 4].fill(0);
+    let mut h = FastHasher::default();
+    h.write(&block[..word]);
+    h.write(&masked[..end - word]);
+    h.write(&block[end..]);
+    Some((at, h.finish()))
+}
+
+/// One entry of the wire index: a validated block, stored with its
+/// NEXT_HOP zeroed in `AttrStore::wire_bytes`, and the set it decodes to.
+#[derive(Debug, Clone, Copy)]
+struct WireEntry {
+    start: u32,
+    len: u32,
+    attr: AttrId,
+    /// The next older entry whose key hashes equal ([`NO_ENTRY`]: none).
+    same_hash: u32,
+}
+
+/// Hash-consing store for [`PathAttributes`], NEXT_HOP excluded.
 ///
 /// Interning (through [`AttrPool`]) returns the id of the canonical entry,
-/// creating one only for a never-seen attribute set. The index maps the
-/// attribute set's [`fast_hash`] to the newest entry with that hash (older
-/// ones chain through `AttrMeta::same_hash`), so a caller that already
-/// computed the hash — the pool probing under the read lock, then again
-/// under the write lock — never hashes the set a second time, and lookups
-/// never allocate.
+/// creating one only for a never-seen attribute set. Every entry's
+/// NEXT_HOP is `0.0.0.0`: the set is keyed on everything else, and the
+/// hop lives with whoever holds the id. The index maps the set's hash to
+/// the newest entry with that hash (older ones chain through
+/// `AttrMeta::same_hash`), so a caller that already computed the hash —
+/// the pool probing under the read lock, then again under the write lock —
+/// never hashes the set a second time, and lookups never allocate.
+///
+/// Beside it sits the wire index: every validated received block, NEXT_HOP
+/// zeroed, with the id it decoded to, keyed by [`wire_key`]. A probe
+/// matches only an entry whose bytes equal the block's outside the
+/// NEXT_HOP value — never on the hash alone — so a hit is a block already
+/// known to decode, to that set, whatever its four NEXT_HOP bytes hold.
 #[derive(Debug, Clone, Default)]
 pub struct AttrStore {
     ids: FastMap<u64, AttrId>,
     metas: Vec<AttrMeta>,
+    wire_ids: FastMap<u64, u32>,
+    wire: Vec<WireEntry>,
+    wire_bytes: Vec<u8>,
 }
 
 impl AttrStore {
@@ -139,25 +231,27 @@ impl AttrStore {
     fn intern_hashed(&mut self, hash: u64, src: AttrSrc<'_>) -> (AttrId, bool) {
         match self.find(hash, src.get()) {
             Some(id) => (id, false),
-            None => (self.insert_new(hash, src.into_shared()), true),
+            None => (self.insert_new(hash, src.into_canonical()), true),
         }
     }
 
-    /// The entry equal to `attrs` among those hashing to `hash`.
+    /// The entry equal to `attrs` outside NEXT_HOP among those hashing to
+    /// `hash`.
     fn find(&self, hash: u64, attrs: &PathAttributes) -> Option<AttrId> {
-        let mut at = self.ids.get(&hash).copied();
-        while let Some(id) = at {
-            let meta = &self.metas[id.0 as usize];
-            if *meta.attrs == *attrs {
-                return Some(id);
+        let key = canon_key(attrs);
+        let mut i = self.ids.get(&hash).map_or(NO_ENTRY, |id| id.0);
+        while let Some(meta) = self.metas.get(i as usize) {
+            if canon_key(&meta.attrs) == key {
+                return Some(AttrId(i));
             }
-            at = meta.same_hash;
+            i = meta.same_hash;
         }
         None
     }
 
     fn insert_new(&mut self, hash: u64, attrs: Arc<PathAttributes>) -> AttrId {
         let id = AttrId(self.metas.len() as u32);
+        assert!(id.0 < EBGP_BIT, "attribute pool exhausted its id space");
         let meta = AttrMeta {
             local_pref: attrs.local_pref.unwrap_or(100),
             path_len: attrs.as_path_len() as u32,
@@ -168,22 +262,64 @@ impl AttrStore {
             },
             med: attrs.med.unwrap_or(0),
             neighbor_as: attrs.neighbor_as(),
-            same_hash: self.ids.insert(hash, id),
+            same_hash: self.ids.insert(hash, id).map_or(NO_ENTRY, |older| older.0),
             attrs,
         };
         self.metas.push(meta);
         id
     }
 
-    /// The canonical shared attributes for an id.
+    /// The wire-index entry whose block equals `block` outside the
+    /// NEXT_HOP value at `at`, among those keyed `hash`.
+    fn find_wire(&self, hash: u64, block: &[u8], at: usize) -> Option<AttrId> {
+        let mut i = self.wire_ids.get(&hash).copied().unwrap_or(NO_ENTRY);
+        while let Some(e) = self.wire.get(i as usize) {
+            let stored = &self.wire_bytes[e.start as usize..][..e.len as usize];
+            if stored.len() == block.len()
+                && stored[..at] == block[..at]
+                && stored[at + 4..] == block[at + 4..]
+            {
+                return Some(e.attr);
+            }
+            i = e.same_hash;
+        }
+        None
+    }
+
+    /// Indexes a block that decoded to `attr`, unless an equal one is
+    /// already indexed (another worker may have won the race).
+    fn insert_wire(&mut self, hash: u64, block: &[u8], at: usize, attr: AttrId) {
+        if self.find_wire(hash, block, at).is_some() {
+            return;
+        }
+        let start = self.wire_bytes.len();
+        self.wire_bytes.extend_from_slice(block);
+        self.wire_bytes[start + at..start + at + 4].fill(0);
+        let i = self.wire.len() as u32;
+        self.wire.push(WireEntry {
+            start: start as u32,
+            len: block.len() as u32,
+            attr,
+            same_hash: self.wire_ids.insert(hash, i).unwrap_or(NO_ENTRY),
+        });
+    }
+
+    /// The canonical shared attributes for an id (NEXT_HOP `0.0.0.0`).
     pub fn attrs(&self, id: AttrId) -> &Arc<PathAttributes> {
         &self.metas[id.0 as usize].attrs
     }
 
-    /// Number of distinct attribute sets interned so far (monotone — this
-    /// *is* the peak size).
+    /// Number of distinct attribute sets interned so far, NEXT_HOP aside
+    /// (monotone — this *is* the peak size). Sets that differ only in
+    /// NEXT_HOP count once.
     pub fn len(&self) -> usize {
         self.metas.len()
+    }
+
+    /// Number of distinct received blocks (NEXT_HOP aside) in the wire
+    /// index. Monotone.
+    pub fn wire_len(&self) -> usize {
+        self.wire.len()
     }
 
     /// True when nothing has been interned.
@@ -219,7 +355,9 @@ impl AttrStore {
                 + std::mem::size_of::<AttrMeta>()
                 + 48) as u64;
         }
-        total
+        // The wire index: stored blocks, entries and their id-map slots.
+        let wire_entry = std::mem::size_of::<WireEntry>() + 24;
+        total + (self.wire_bytes.len() + self.wire.len() * wire_entry) as u64
     }
 
     pub(crate) fn meta(&self, id: AttrId) -> &AttrMeta {
@@ -239,10 +377,10 @@ impl AttrStore {
 /// wire byte; pump/sweep determinism holds because the pool is per-run,
 /// never process-global across sweep workers.
 ///
-/// Interning is **lock-light**: attribute churn is read-mostly (a
-/// converged fleet re-interns the same few hundred sets constantly), so
-/// [`AttrPool::intern`] first probes under the read lock and only
-/// escalates to the write lock on a genuine miss. Under the intra-run
+/// Interning is **lock-light**: attribute churn is read-mostly (each
+/// exported set reaches every neighbour of its sender), so
+/// [`AttrPool::intern`] and `AttrPool::resolve_wire` first probe under
+/// the read lock and only escalate to the write lock on a genuine miss. Under the intra-run
 /// parallel pump, concurrent double-misses are resolved by the store's
 /// re-check inside the write lock — one id per value, always. Id *values*
 /// may then depend on worker interleaving, which is safe precisely
@@ -265,15 +403,20 @@ impl AttrPool {
         self.0.read().expect("attr pool lock poisoned")
     }
 
-    /// Interns a shared attribute set; the `bool` is true when this call
-    /// created the entry (false = fleet-wide reuse). Hits resolve under
-    /// the read lock; only a genuine miss takes the write lock.
+    fn write(&self) -> RwLockWriteGuard<'_, AttrStore> {
+        self.0.write().expect("attr pool lock poisoned")
+    }
+
+    /// Interns a shared attribute set, NEXT_HOP aside; the `bool` is true
+    /// when this call created the entry (false = fleet-wide reuse). Hits
+    /// resolve under the read lock; only a genuine miss takes the write
+    /// lock.
     pub fn intern(&self, attrs: &Arc<PathAttributes>) -> (AttrId, bool) {
         self.intern_src(AttrSrc::Shared(attrs))
     }
 
-    /// Interns an owned attribute set; the `bool` is true on creation.
-    /// Same lock discipline as [`AttrPool::intern`].
+    /// Interns an owned attribute set, NEXT_HOP aside; the `bool` is true
+    /// on creation. Same lock discipline as [`AttrPool::intern`].
     pub fn intern_owned(&self, attrs: PathAttributes) -> (AttrId, bool) {
         self.intern_src(AttrSrc::Owned(attrs))
     }
@@ -281,25 +424,55 @@ impl AttrPool {
     /// One hash serves the read-locked probe, the re-probe under the write
     /// lock (another worker may have won the race) and the insert.
     fn intern_src(&self, src: AttrSrc<'_>) -> (AttrId, bool) {
-        let hash = fast_hash(src.get());
+        let hash = fast_hash(&canon_key(src.get()));
         if let Some(id) = self.read().find(hash, src.get()) {
             return (id, false);
         }
-        self.0
-            .write()
-            .expect("attr pool lock poisoned")
-            .intern_hashed(hash, src)
+        self.write().intern_hashed(hash, src)
+    }
+
+    /// Resolves a received UPDATE's path-attribute block to its entry and
+    /// the NEXT_HOP it carries, decoding it only if the wire index has not
+    /// seen it: the receive path of every speaker. A hit costs one hash of
+    /// the block and one byte comparison under the read lock — no decode,
+    /// no allocation. A miss decodes and validates the block (a malformed
+    /// one is the decode error, and indexes nothing), interns the set and
+    /// indexes the block. The `bool` is true when this call created the
+    /// set's entry.
+    pub(crate) fn resolve_wire(&self, block: &[u8]) -> Result<(RxAttrs, bool), CodecError> {
+        let key = wire_key(block);
+        if let Some((at, hash)) = key {
+            if let Some(id) = self.read().find_wire(hash, block, at) {
+                let hop: [u8; 4] = block[at..at + 4].try_into().expect("4-byte NEXT_HOP");
+                let next_hop = Ipv4Addr::from(hop);
+                return Ok((RxAttrs { id, next_hop }, false));
+            }
+        }
+        let attrs = decode_attrs(block)?;
+        let next_hop = attrs.next_hop;
+        let hash = fast_hash(&canon_key(&attrs));
+        let mut store = self.write();
+        let (id, created) = store.intern_hashed(hash, AttrSrc::Owned(attrs));
+        if let Some((at, wire_hash)) = key {
+            store.insert_wire(wire_hash, block, at, id);
+        }
+        Ok((RxAttrs { id, next_hop }, created))
     }
 
     /// The canonical shared attributes for an id (owned `Arc` — the lock
-    /// cannot outlive the call).
+    /// cannot outlive the call). NEXT_HOP is `0.0.0.0`.
     pub fn attrs(&self, id: AttrId) -> Arc<PathAttributes> {
         Arc::clone(self.read().attrs(id))
     }
 
-    /// Number of distinct attribute sets in the pool.
+    /// Number of distinct attribute sets in the pool (NEXT_HOP aside).
     pub fn len(&self) -> usize {
         self.read().len()
+    }
+
+    /// See [`AttrStore::wire_len`].
+    pub fn wire_len(&self) -> usize {
+        self.read().wire_len()
     }
 
     /// True when nothing has been interned.
@@ -368,35 +541,74 @@ impl RibStats {
     }
 }
 
-/// One candidate in a prefix's sorted set. `(remote, addr_key)` is the
-/// sort key: local origination is `(false, 0)` and sorts first; remote
-/// peers follow in ascending address order — exactly the gathering order
-/// of the naive decision loop, which the `min_by` tie-break depends on.
+/// A received attribute block as the RIB takes it: the pool entry of its
+/// set (NEXT_HOP aside) and the NEXT_HOP the sender wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CandEntry {
-    /// False only for the locally originated candidate.
-    remote: bool,
-    /// `u32::from(peer address)` (0 for local) — `u32` order equals
-    /// `Ipv4Addr` order.
-    addr_key: u32,
-    attr: AttrId,
-    ebgp: bool,
+pub struct RxAttrs {
+    /// The canonical entry.
+    pub id: AttrId,
+    /// The route's next hop.
+    pub next_hop: Ipv4Addr,
 }
 
+/// One candidate in a prefix's sorted set, 12 bytes (`wan_table_10k`
+/// holds 1.42 M of them). `addr_key` is the sort key: local origination
+/// is 0 and sorts first; remote peers follow in ascending address order —
+/// exactly the gathering order of the naive decision loop, which the
+/// `min_by` tie-break depends on. A peer at `0.0.0.0` would collide with
+/// the local key; no session has that address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CandEntry {
+    /// `u32::from(peer address)`, 0 for local — `u32` order equals
+    /// `Ipv4Addr` order.
+    addr_key: u32,
+    /// The [`AttrId`], with [`EBGP_BIT`] set when learned over eBGP.
+    attr_ebgp: u32,
+    /// The candidate's NEXT_HOP (the pool's sets carry none).
+    next_hop: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<CandEntry>() == 12);
+
 impl CandEntry {
-    fn key(&self) -> (bool, u32) {
-        (self.remote, self.addr_key)
+    fn new(addr_key: u32, attr: AttrId, ebgp: bool, next_hop: Ipv4Addr) -> CandEntry {
+        CandEntry {
+            addr_key,
+            attr_ebgp: attr.0 | if ebgp { EBGP_BIT } else { 0 },
+            next_hop: u32::from(next_hop),
+        }
+    }
+
+    fn key(&self) -> u32 {
+        self.addr_key
+    }
+
+    fn remote(&self) -> bool {
+        self.addr_key != LOCAL_KEY
+    }
+
+    fn attr(&self) -> AttrId {
+        AttrId(self.attr_ebgp & !EBGP_BIT)
+    }
+
+    fn ebgp(&self) -> bool {
+        self.attr_ebgp & EBGP_BIT != 0
+    }
+
+    fn next_hop(&self) -> Ipv4Addr {
+        Ipv4Addr::from(self.next_hop)
     }
 }
 
-const LOCAL_KEY: (bool, u32) = (false, 0);
+const LOCAL_KEY: u32 = 0;
 
-/// One route in a [`Decision`], sharing the interned attribute allocation.
+/// One route in a [`Decision`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteInfo {
-    /// Canonical attributes as received (or as originated).
+    /// Attributes as received (or as originated): the interned set with
+    /// the candidate's NEXT_HOP put back.
     pub attrs: Arc<PathAttributes>,
-    /// Interned id of `attrs` in the owning RIB's store.
+    /// Interned id of `attrs` (NEXT_HOP aside) in the owning RIB's store.
     pub attr_id: AttrId,
     /// The peer this was learned from (`0.0.0.0` for local origination).
     pub peer: Ipv4Addr,
@@ -703,15 +915,11 @@ impl LocRib {
         }
     }
 
-    /// Interns into the pool, tracking per-RIB created/reused counts.
-    fn pool_intern(&self, attrs: &Arc<PathAttributes>) -> AttrId {
-        let (id, created) = self.pool.intern(attrs);
-        if created {
-            self.interns.set(self.interns.get() + 1);
-        } else {
-            self.reuses.set(self.reuses.get() + 1);
-        }
-        id
+    /// Counts a pool intern or resolution as this RIB's creation or reuse.
+    fn counted<T>(&self, (out, created): (T, bool)) -> T {
+        let count = if created { &self.interns } else { &self.reuses };
+        count.set(count.get() + 1);
+        out
     }
 
     /// Interns a prefix, growing the dense per-prefix arenas alongside the
@@ -773,7 +981,7 @@ impl LocRib {
     /// Removes the candidate with `key`, maintaining the live count. Ids
     /// beyond the arenas (interned into a shared table by another speaker,
     /// never seen here) have no candidates by construction.
-    fn remove_candidate_key(&mut self, id: PrefixId, key: (bool, u32)) -> bool {
+    fn remove_candidate_key(&mut self, id: PrefixId, key: u32) -> bool {
         let Some(set) = self.candidates.get_mut(id.index()) else {
             return false;
         };
@@ -791,25 +999,9 @@ impl LocRib {
 
     /// Originates a local network, returning the prefix's id.
     pub fn originate(&mut self, prefix: Ipv4Prefix, next_hop: Ipv4Addr) -> PrefixId {
-        let attr = {
-            let (id, created) = self.pool.intern_owned(PathAttributes::originated(next_hop));
-            if created {
-                self.interns.set(self.interns.get() + 1);
-            } else {
-                self.reuses.set(self.reuses.get() + 1);
-            }
-            id
-        };
+        let attr = self.intern_attrs(PathAttributes::originated(next_hop));
         let id = self.intern_prefix(prefix);
-        self.upsert_candidate(
-            id,
-            CandEntry {
-                remote: false,
-                addr_key: 0,
-                attr,
-                ebgp: false,
-            },
-        );
+        self.upsert_candidate(id, CandEntry::new(LOCAL_KEY, attr, false, next_hop));
         self.invalidate(id);
         id
     }
@@ -828,61 +1020,68 @@ impl LocRib {
 
     /// Applies an UPDATE from `peer`, returning every prefix whose
     /// candidate set changed — sorted by prefix **value** (ascending), the
-    /// iteration order all downstream consumers require. Announcements
-    /// whose AS_PATH contains our own AS are rejected (loop prevention) —
-    /// treated as withdrawals of any previous path from that peer.
+    /// iteration order all downstream consumers require. Interns the
+    /// attributes, then takes the speaker's path (`LocRib::apply_update`).
     pub fn update_from_peer(
         &mut self,
         peer: Ipv4Addr,
         ebgp: bool,
         update: &UpdateMsg,
     ) -> Vec<PrefixId> {
-        self.update_from_peer_policed(peer, ebgp, update, None)
+        let attrs = update.attrs.as_ref().map(|a| RxAttrs {
+            id: self.counted(self.pool.intern(a)),
+            next_hop: a.next_hop,
+        });
+        self.apply_update(peer, ebgp, &update.withdrawn, attrs, &update.nlri, None)
     }
 
-    /// [`LocRib::update_from_peer`] with an optional import route-map — the
-    /// single import-policy choke point. With `import: None` the behavior
-    /// (and the one-intern-per-UPDATE shape) is exactly the unpoliced path.
-    /// With a map, NLRI are bucketed by the first matching clause so each
-    /// clause's transform is applied and interned **once per UPDATE**, not
-    /// per prefix; denied prefixes (deny clause or no clause — implicit
-    /// deny) are treated as withdrawals from this peer.
-    pub fn update_from_peer_policed(
+    /// Resolves a received attribute block through the pool's wire index
+    /// (see [`AttrPool::resolve_wire`]), counting the creation or reuse.
+    pub(crate) fn resolve_wire(&self, block: &[u8]) -> Result<RxAttrs, CodecError> {
+        self.pool.resolve_wire(block).map(|r| self.counted(r))
+    }
+
+    /// Applies an UPDATE from `peer` whose attributes (if any) are already
+    /// resolved — the speaker's receive path — with an optional import
+    /// route-map, the single import-policy choke point. Returns the
+    /// affected prefixes as [`LocRib::update_from_peer`] does.
+    /// Announcements whose AS_PATH contains our own AS are rejected (loop
+    /// prevention) — treated as withdrawals of any previous path from that
+    /// peer. With a map, NLRI are bucketed by the first matching clause so
+    /// each clause's transform is applied and interned **once per UPDATE**,
+    /// not per prefix; denied prefixes (deny clause or no clause — implicit
+    /// deny) are treated as withdrawals from this peer. The loop check and
+    /// the map read the interned set; neither looks at NEXT_HOP.
+    pub(crate) fn apply_update(
         &mut self,
         peer: Ipv4Addr,
         ebgp: bool,
-        update: &UpdateMsg,
+        withdrawn: &[Ipv4Prefix],
+        attrs: Option<RxAttrs>,
+        nlri: &[Ipv4Prefix],
         import: Option<&crate::policy::RouteMap>,
     ) -> Vec<PrefixId> {
         let mut affected: Vec<PrefixId> = Vec::new();
         let peer_key = u32::from(peer);
-        self.remove_peer_candidates(peer, peer_key, &update.withdrawn, &mut affected);
-        if let Some(attrs) = &update.attrs {
-            // Loop prevention sees the wire attributes, before any policy.
-            if attrs.contains_asn(self.local_as) {
-                self.remove_peer_candidates(peer, peer_key, &update.nlri, &mut affected);
+        debug_assert_ne!(peer_key, LOCAL_KEY, "0.0.0.0 is not a peer address");
+        self.remove_peer_candidates(peer, peer_key, withdrawn, &mut affected);
+        if let Some(rx) = attrs {
+            let looped = self.pool.read().attrs(rx.id).contains_asn(self.local_as);
+            if looped {
+                self.remove_peer_candidates(peer, peer_key, nlri, &mut affected);
             } else {
                 match import {
-                    None => {
-                        // One intern per UPDATE, not per prefix: every NLRI
-                        // in the message shares the id (and the allocation).
-                        let attr = self.pool_intern(attrs);
-                        self.insert_candidates(
-                            peer,
-                            peer_key,
-                            ebgp,
-                            attr,
-                            &update.nlri,
-                            &mut affected,
-                        );
-                    }
+                    // One intern per UPDATE, not per prefix: every NLRI in
+                    // the message shares the id.
+                    None => self.insert_candidates(peer, peer_key, ebgp, rx, nlri, &mut affected),
                     Some(map) => {
                         use crate::policy::{PolicyAction, PolicyVerdict};
+                        let attrs = self.pool.attrs(rx.id);
                         let mut denied: Vec<Ipv4Prefix> = Vec::new();
                         let mut buckets: std::collections::BTreeMap<usize, Vec<Ipv4Prefix>> =
                             std::collections::BTreeMap::new();
-                        for p in &update.nlri {
-                            match map.first_match(*p, attrs) {
+                        for p in nlri {
+                            match map.first_match(*p, &attrs) {
                                 Some(i) if map.clauses[i].action == PolicyAction::Permit => {
                                     buckets.entry(i).or_default().push(*p);
                                 }
@@ -893,19 +1092,13 @@ impl LocRib {
                         // (and, like one, never grows the arenas).
                         self.remove_peer_candidates(peer, peer_key, &denied, &mut affected);
                         for (i, nlri) in buckets {
-                            let attr = match map.verdict_of(i, attrs, self.local_as) {
-                                PolicyVerdict::Permit(None) => self.pool_intern(attrs),
+                            let id = match map.verdict_of(i, &attrs, self.local_as) {
+                                PolicyVerdict::Permit(None) => rx.id,
                                 PolicyVerdict::Permit(Some(out)) => self.intern_attrs(out),
                                 PolicyVerdict::Deny => unreachable!("bucketed permit clause"),
                             };
-                            self.insert_candidates(
-                                peer,
-                                peer_key,
-                                ebgp,
-                                attr,
-                                &nlri,
-                                &mut affected,
-                            );
+                            let rx = RxAttrs { id, ..rx };
+                            self.insert_candidates(peer, peer_key, ebgp, rx, &nlri, &mut affected);
                         }
                     }
                 }
@@ -928,22 +1121,22 @@ impl LocRib {
         let mut affected: Vec<PrefixId> = self.adj_in[pid.index()].iter().map(PrefixId).collect();
         self.adj_in[pid.index()].clear();
         for &id in &affected {
-            self.remove_candidate_key(id, (true, peer_key));
+            self.remove_candidate_key(id, peer_key);
             self.invalidate(id);
         }
         self.prefixes.sort_by_value(&mut affected);
         affected
     }
 
-    /// Installs one interned attribute set as `peer`'s candidate for each
-    /// prefix in `nlri`, maintaining the Adj-RIB-In index and pushing
-    /// changed ids onto `affected`.
+    /// Installs one interned attribute set and next hop as `peer`'s
+    /// candidate for each prefix in `nlri`, maintaining the Adj-RIB-In
+    /// index and pushing changed ids onto `affected`.
     fn insert_candidates(
         &mut self,
         peer: Ipv4Addr,
         peer_key: u32,
         ebgp: bool,
-        attr: AttrId,
+        rx: RxAttrs,
         nlri: &[Ipv4Prefix],
         affected: &mut Vec<PrefixId>,
     ) {
@@ -951,12 +1144,7 @@ impl LocRib {
         if pid.index() >= self.adj_in.len() {
             self.adj_in.resize(pid.index() + 1, IdSet::new());
         }
-        let entry = CandEntry {
-            remote: true,
-            addr_key: peer_key,
-            attr,
-            ebgp,
-        };
+        let entry = CandEntry::new(peer_key, rx.id, ebgp, rx.next_hop);
         // One table read (or write, for never-seen prefixes) per UPDATE.
         let mut ids = std::mem::take(&mut self.scratch_ids);
         ids.clear();
@@ -978,7 +1166,7 @@ impl LocRib {
     /// Drops `peer`'s candidate for one prefix, maintaining both indexes.
     /// Returns true when a candidate actually existed.
     fn remove_peer_candidate(&mut self, id: PrefixId, peer: Ipv4Addr, peer_key: u32) -> bool {
-        if !self.remove_candidate_key(id, (true, peer_key)) {
+        if !self.remove_candidate_key(id, peer_key) {
             return false;
         }
         if let Some(pid) = self.peers.get(peer) {
@@ -1071,21 +1259,17 @@ impl LocRib {
         &self.pool
     }
 
-    /// Interns an owned attribute set in this RIB's pool: what an import
-    /// route-map rewrote a received set into. (Exports are not interned
-    /// here; the speaker keeps their encoded blocks.)
+    /// Interns an owned attribute set in this RIB's pool, NEXT_HOP aside:
+    /// what an import route-map rewrote a received set into, and a local
+    /// origination. (Exports are not interned here; the speaker keeps their
+    /// encoded blocks.)
     pub fn intern_attrs(&self, attrs: PathAttributes) -> AttrId {
-        let (id, created) = self.pool.intern_owned(attrs);
-        if created {
-            self.interns.set(self.interns.get() + 1);
-        } else {
-            self.reuses.set(self.reuses.get() + 1);
-        }
-        id
+        self.counted(self.pool.intern_owned(attrs))
     }
 
     /// The canonical shared attributes for an id (owned handle — the pool
-    /// lock cannot be held across the call boundary).
+    /// lock cannot be held across the call boundary). NEXT_HOP is
+    /// `0.0.0.0`; a candidate's own is in the [`Decision`] view.
     pub fn attrs_of(&self, id: AttrId) -> Arc<PathAttributes> {
         self.pool.attrs(id)
     }
@@ -1214,15 +1398,14 @@ impl LocRib {
         let mut hops = self.scratch_hops.borrow_mut();
         hops.clear();
         hops.extend(
-            multipath_members(&store, cands, best, self.multipath)
-                .map(|c| store.meta(c.attr).attrs.next_hop),
+            multipath_members(&store, cands, best, self.multipath).map(CandEntry::next_hop),
         );
         hops.sort_unstable();
         hops.dedup();
         Some(BestPath {
-            attr_id: best.attr,
+            attr_id: best.attr(),
             peer: Ipv4Addr::from(best.addr_key),
-            ebgp: best.ebgp,
+            ebgp: best.ebgp(),
             next_hops: self.hop_sets.borrow_mut().intern(&hops),
         })
     }
@@ -1232,19 +1415,24 @@ impl LocRib {
     fn view(&self, id: PrefixId, best: BestPath) -> Decision {
         let cands = &self.candidates[id.index()];
         let store = self.pool.read();
-        let key = if best.is_local() {
-            LOCAL_KEY
-        } else {
-            (true, u32::from(best.peer))
-        };
         let at = cands
-            .binary_search_by_key(&key, CandEntry::key)
+            .binary_search_by_key(&u32::from(best.peer), CandEntry::key)
             .expect("the memoized best path is a live candidate");
-        let route = |cand: &CandEntry| RouteInfo {
-            attrs: Arc::clone(store.attrs(cand.attr)),
-            attr_id: cand.attr,
-            peer: Ipv4Addr::from(cand.addr_key),
-            ebgp: cand.ebgp,
+        let route = |cand: &CandEntry| {
+            let canonical = store.attrs(cand.attr());
+            RouteInfo {
+                attrs: if canonical.next_hop == cand.next_hop() {
+                    Arc::clone(canonical)
+                } else {
+                    Arc::new(PathAttributes {
+                        next_hop: cand.next_hop(),
+                        ..(**canonical).clone()
+                    })
+                },
+                attr_id: cand.attr(),
+                peer: Ipv4Addr::from(cand.addr_key),
+                ebgp: cand.ebgp(),
+            }
         };
         Decision {
             best: route(&cands[at]),
@@ -1294,15 +1482,15 @@ fn multipath_members<'a>(
 /// earliest candidate (set order is local, then peer address).
 fn rank(store: &AttrStore, a: &CandEntry, b: &CandEntry) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    let am = store.meta(a.attr);
-    let bm = store.meta(b.attr);
+    let am = store.meta(a.attr());
+    let bm = store.meta(b.attr());
     // 1. Higher local-pref wins.
     let o = bm.local_pref.cmp(&am.local_pref);
     if o != Ordering::Equal {
         return o;
     }
     // 2. Local origination wins (`!remote` is "is local").
-    let o = a.remote.cmp(&b.remote);
+    let o = a.remote().cmp(&b.remote());
     if o != Ordering::Equal {
         return o;
     }
@@ -1324,7 +1512,7 @@ fn rank(store: &AttrStore, a: &CandEntry, b: &CandEntry) -> std::cmp::Ordering {
         }
     }
     // 6. eBGP beats iBGP.
-    b.ebgp.cmp(&a.ebgp)
+    b.ebgp().cmp(&a.ebgp())
 }
 
 #[cfg(test)]
@@ -1634,11 +1822,8 @@ mod tests {
         assert_eq!(s.attr_reuses, 1, "second UPDATE reused the entry");
         let d1 = rib.decide(pfx("10.1.0.0/16")).unwrap();
         let d4 = rib.decide(pfx("10.4.0.0/16")).unwrap();
-        assert!(
-            Arc::ptr_eq(&d1.best.attrs, &d4.best.attrs),
-            "decisions share the canonical allocation"
-        );
-        assert_eq!(d1.best.attr_id, d4.best.attr_id);
+        assert_eq!(d1.best.attr_id, d4.best.attr_id, "one pool entry");
+        assert_eq!(d1.best.attrs, d4.best.attrs);
     }
 
     #[test]
@@ -1661,10 +1846,10 @@ mod tests {
             0,
             "sharers report 0 size; the pool owner reports it once"
         );
-        // Decisions in both RIBs share the one canonical allocation.
+        // Decisions in both RIBs name the one entry.
         let d1 = r1.decide(pfx("10.1.0.0/16")).unwrap();
         let d2 = r2.decide(pfx("10.2.0.0/16")).unwrap();
-        assert!(Arc::ptr_eq(&d1.best.attrs, &d2.best.attrs));
+        assert_eq!(d1.best.attr_id, d2.best.attr_id);
         assert!(r1.attr_pool().same_as(r2.attr_pool()));
         assert!(pool.bytes_estimate() > 0);
     }
@@ -1798,6 +1983,113 @@ mod tests {
         );
         assert_eq!(store.find(8, &a), None);
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn next_hop_only_differences_share_one_entry_and_form_multipath() {
+        let pool = AttrPool::new();
+        let mut rib = LocRib::new_shared(65000, true, pool.clone());
+        // Two UPDATEs identical but for NEXT_HOP (each peer sets itself).
+        announce(&mut rib, [10, 0, 0, 1], &[7, 8], "10.9.0.0/16");
+        announce(&mut rib, [10, 0, 0, 2], &[7, 8], "10.9.0.0/16");
+        assert_eq!(pool.len(), 1, "one entry for both");
+        assert!(pool.attrs(AttrId(0)).next_hop.is_unspecified());
+        let s = rib.stats();
+        assert_eq!((s.attr_interns, s.attr_reuses), (1, 1));
+        let p = pfx("10.9.0.0/16");
+        assert_eq!(
+            rib.next_hops(p),
+            [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)],
+            "the hop set comes from the candidates"
+        );
+        // The view puts each candidate's own NEXT_HOP back.
+        let d = rib.decide(p).unwrap();
+        let hops: Vec<Ipv4Addr> = d.multipath.iter().map(|r| r.attrs.next_hop).collect();
+        assert_eq!(hops, d.next_hops);
+        assert_eq!(*d.best.attrs, attrs(&[7, 8], [10, 0, 0, 1]));
+        // A re-announcement that moves only the NEXT_HOP is a change.
+        let moved = UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(Arc::new(attrs(&[7, 8], [10, 0, 0, 9]))),
+            nlri: vec![p],
+        };
+        let affected = rib.update_from_peer(Ipv4Addr::new(10, 0, 0, 2), true, &moved);
+        assert_eq!(affected.len(), 1);
+        assert_eq!(
+            rib.next_hops(p),
+            [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 9)]
+        );
+        assert_eq!(pool.len(), 1);
+    }
+
+    fn block_of(a: &PathAttributes) -> Vec<u8> {
+        let mut out = bytes::BytesMut::new();
+        crate::msg::encode_attrs(a, &mut out);
+        out.to_vec()
+    }
+
+    #[test]
+    fn wire_index_resolves_next_hop_variants_without_decoding() {
+        let rib = LocRib::new(65000, true);
+        let one = rib
+            .resolve_wire(&block_of(&attrs(&[7, 8], [10, 0, 0, 1])))
+            .unwrap();
+        let two = rib
+            .resolve_wire(&block_of(&attrs(&[7, 8], [10, 0, 0, 2])))
+            .unwrap();
+        assert_eq!(one.id, two.id);
+        assert_eq!(
+            (one.next_hop, two.next_hop),
+            (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+        );
+        let pool = rib.attr_pool();
+        assert_eq!((pool.len(), pool.wire_len()), (1, 1));
+        let s = rib.stats();
+        assert_eq!((s.attr_interns, s.attr_reuses), (1, 1), "a hit is a reuse");
+        // The same set in another encoding (extended-length ORIGIN) is a
+        // second wire entry for the one set.
+        let mut long_origin = vec![0x50, 1, 0, 1, 0];
+        long_origin.extend_from_slice(&block_of(&attrs(&[7, 8], [10, 0, 0, 3]))[4..]);
+        assert_eq!(rib.resolve_wire(&long_origin).unwrap().id, one.id);
+        assert_eq!((pool.len(), pool.wire_len()), (1, 2));
+        // A malformed block identical but for a truncated attribute after
+        // NEXT_HOP is the decode error, every time, and indexes nothing.
+        let mut truncated = block_of(&attrs(&[7, 8], [10, 0, 0, 4]));
+        truncated.extend_from_slice(&[0xc0, 99, 5, 1, 2]);
+        for _ in 0..2 {
+            assert_eq!(
+                rib.resolve_wire(&truncated),
+                Err(CodecError::Truncated("attribute value"))
+            );
+        }
+        assert_eq!((pool.len(), pool.wire_len()), (1, 2));
+    }
+
+    #[test]
+    fn colliding_wire_keys_compare_bytes() {
+        // Force two blocks onto one key: the stored bytes, not the hash,
+        // decide a hit — and only the NEXT_HOP value is ignored.
+        let mut store = AttrStore::default();
+        let a = block_of(&attrs(&[1], [10, 0, 0, 1]));
+        let b = block_of(&attrs(&[2], [10, 0, 0, 1]));
+        let at = crate::msg::next_hop_offset(&a).unwrap();
+        assert_eq!(crate::msg::next_hop_offset(&b), Some(at));
+        store.insert_wire(7, &a, at, AttrId(0));
+        assert_eq!(store.find_wire(7, &b, at), None);
+        store.insert_wire(7, &b, at, AttrId(1));
+        assert_eq!(store.find_wire(7, &a, at), Some(AttrId(0)));
+        assert_eq!(store.find_wire(7, &b, at), Some(AttrId(1)));
+        assert_eq!(store.find_wire(8, &a, at), None);
+        let a_elsewhere = block_of(&attrs(&[1], [192, 0, 2, 1]));
+        assert_eq!(store.find_wire(7, &a_elsewhere, at), Some(AttrId(0)));
+        assert_eq!(store.wire_len(), 2);
+        // The key is the plain hash of the block with NEXT_HOP zeroed.
+        let mut zeroed = a.clone();
+        zeroed[at..at + 4].fill(0);
+        let mut h = FastHasher::default();
+        h.write(&zeroed);
+        assert_eq!(wire_key(&a), Some((at, h.finish())));
+        assert_eq!(wire_key(&a), wire_key(&a_elsewhere));
     }
 
     #[test]

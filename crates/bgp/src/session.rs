@@ -9,10 +9,18 @@
 //! The session is sans-IO: bytes in via [`Session::on_bytes`], wall/virtual
 //! clock in via the `now` arguments, and everything outgoing is queued as
 //! [`SessionEvent`]s the caller drains with [`Session::swap_events`].
+//!
+//! An UPDATE received in Established has its attribute block resolved
+//! against the RIB's attribute pool inside the decode loop
+//! (`LocRib::resolve_wire`): a block the pool has seen is not decoded
+//! again, and a malformed one fails the same check at the same message as
+//! a full decode would.
 
 use crate::msg::{
-    Capability, CodecError, Message, Notification, OpenMsg, StreamDecoder, UpdateMsg, BGP_VERSION,
+    decode_attrs, Capability, CodecError, Frame, Message, Notification, OpenMsg, StreamDecoder,
+    Update, BGP_VERSION,
 };
+use crate::rib::{LocRib, RxAttrs};
 use bytes::Bytes;
 use horse_sim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
@@ -60,6 +68,9 @@ pub enum DownReason {
     FsmError,
 }
 
+/// A received UPDATE, its attributes resolved to the RIB's pool.
+pub type RxUpdate = Update<RxAttrs>;
+
 /// Outputs of the FSM, drained by the speaker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionEvent {
@@ -70,7 +81,7 @@ pub enum SessionEvent {
     /// The session fell back to Idle.
     Down(DownReason),
     /// An UPDATE arrived (only in Established).
-    Update(UpdateMsg),
+    Update(RxUpdate),
 }
 
 /// Timer configuration. The defaults are deliberately snappier than RFC
@@ -202,14 +213,25 @@ impl Session {
         }
     }
 
-    /// Feeds received bytes through the decoder and the FSM.
-    pub fn on_bytes(&mut self, now: SimTime, bytes: &[u8]) {
+    /// Feeds received bytes through the decoder and the FSM. UPDATE
+    /// attribute blocks received in Established are resolved through
+    /// `rib`'s pool; in any other state an UPDATE is only validated, since
+    /// the FSM rejects it.
+    pub fn on_bytes(&mut self, now: SimTime, bytes: &[u8], rib: &LocRib) {
         self.decoder.push(bytes);
         loop {
-            match self.decoder.next() {
-                Ok(Some(msg)) => {
+            let established = self.is_established();
+            let frame = self.decoder.next_frame(|block| {
+                if established {
+                    rib.resolve_wire(block).map(Some)
+                } else {
+                    decode_attrs(block).map(|_| None)
+                }
+            });
+            match frame {
+                Ok(Some(frame)) => {
                     self.msgs_received += 1;
-                    self.on_message(now, msg);
+                    self.on_message(now, frame);
                     if self.state == SessionState::Idle {
                         return; // went down mid-stream
                     }
@@ -279,7 +301,20 @@ impl Session {
         .min()
     }
 
-    fn on_message(&mut self, now: SimTime, msg: Message) {
+    fn on_message(&mut self, now: SimTime, frame: Frame<Option<RxAttrs>>) {
+        let msg = match frame {
+            Frame::Update(update) if self.is_established() => {
+                self.arm_hold(now);
+                self.events.push(SessionEvent::Update(Update {
+                    withdrawn: update.withdrawn,
+                    attrs: update.attrs.flatten(),
+                    nlri: update.nlri,
+                }));
+                return;
+            }
+            Frame::Update(_) => return self.fsm_error(now),
+            Frame::Other(msg) => msg,
+        };
         match (self.state, msg) {
             (SessionState::OpenSent, Message::Open(open)) => {
                 if open.version != BGP_VERSION {
@@ -311,23 +346,21 @@ impl Session {
             (SessionState::Established, Message::Keepalive) => {
                 self.arm_hold(now);
             }
-            (SessionState::Established, Message::Update(update)) => {
-                self.arm_hold(now);
-                self.events.push(SessionEvent::Update(update));
-            }
             (_, Message::Notification(n)) => {
                 self.go_down(now, DownReason::PeerNotification(n));
             }
             // Everything else is an FSM violation.
-            (_, _) => {
-                self.send(Message::Notification(Notification {
-                    code: 5, // FSM error
-                    subcode: 0,
-                    data: Vec::new(),
-                }));
-                self.go_down(now, DownReason::FsmError);
-            }
+            (_, _) => self.fsm_error(now),
         }
+    }
+
+    fn fsm_error(&mut self, now: SimTime) {
+        self.send(Message::Notification(Notification {
+            code: 5, // FSM error
+            subcode: 0,
+            data: Vec::new(),
+        }));
+        self.go_down(now, DownReason::FsmError);
     }
 
     fn arm_hold(&mut self, now: SimTime) {
@@ -415,21 +448,27 @@ mod tests {
         (a, b)
     }
 
+    /// The RIB whose pool a test session resolves UPDATEs against.
+    fn rib() -> LocRib {
+        LocRib::new(65000, true)
+    }
+
     /// Shuttles queued bytes between two sessions until quiescent.
     fn shuttle(a: &mut Session, b: &mut Session, now: SimTime) -> Vec<(char, SessionEvent)> {
+        let rib = rib();
         let mut log = Vec::new();
         loop {
             let mut moved = false;
             for ev in a.take_events() {
                 if let SessionEvent::SendBytes(bytes) = &ev {
-                    b.on_bytes(now, bytes);
+                    b.on_bytes(now, bytes, &rib);
                     moved = true;
                 }
                 log.push(('a', ev));
             }
             for ev in b.take_events() {
                 if let SessionEvent::SendBytes(bytes) = &ev {
-                    a.on_bytes(now, bytes);
+                    a.on_bytes(now, bytes, &rib);
                     moved = true;
                 }
                 log.push(('b', ev));
@@ -479,18 +518,33 @@ mod tests {
     fn update_delivered_in_established() {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        let upd = UpdateMsg {
+        let next_hop = Ipv4Addr::new(10, 0, 0, 1);
+        let upd = crate::msg::UpdateMsg {
             withdrawn: vec![],
             attrs: Some(std::sync::Arc::new(crate::msg::PathAttributes::originated(
-                Ipv4Addr::new(10, 0, 0, 1),
+                next_hop,
             ))),
             nlri: vec!["10.9.0.0/16".parse().unwrap()],
         };
         a.send_encoded_update(Message::Update(upd.clone()).encode());
-        let log = shuttle(&mut a, &mut b, SimTime::ZERO);
-        assert!(log
-            .iter()
-            .any(|(who, ev)| *who == 'b' && matches!(ev, SessionEvent::Update(u) if *u == upd)));
+        let rib = rib();
+        for ev in a.take_events() {
+            if let SessionEvent::SendBytes(bytes) = ev {
+                b.on_bytes(SimTime::ZERO, &bytes, &rib);
+            }
+        }
+        let evs = b.take_events();
+        let [SessionEvent::Update(got)] = &evs[..] else {
+            panic!("one UPDATE event: {evs:?}");
+        };
+        let rx = got.attrs.expect("an announcement");
+        assert_eq!(rx.next_hop, next_hop);
+        assert_eq!(
+            *rib.attrs_of(rx.id),
+            crate::msg::PathAttributes::originated(Ipv4Addr::UNSPECIFIED),
+            "the pool keeps the set without its NEXT_HOP"
+        );
+        assert_eq!((&got.withdrawn, &got.nlri), (&upd.withdrawn, &upd.nlri));
     }
 
     #[test]
@@ -507,7 +561,7 @@ mod tests {
         // The queued NOTIFICATION reaches b, which also goes down.
         for e in evs {
             if let SessionEvent::SendBytes(bytes) = e {
-                b.on_bytes(SimTime::from_secs(10), &bytes);
+                b.on_bytes(SimTime::from_secs(10), &bytes, &rib());
             }
         }
         assert!(b
@@ -535,7 +589,7 @@ mod tests {
     fn garbage_bytes_cause_codec_down() {
         let (mut a, mut b) = pair();
         establish(&mut a, &mut b, SimTime::ZERO);
-        a.on_bytes(SimTime::ZERO, &[0u8; 32]);
+        a.on_bytes(SimTime::ZERO, &[0u8; 32], &rib());
         let evs = a.take_events();
         assert!(evs
             .iter()
@@ -550,7 +604,7 @@ mod tests {
         let mut bytes = [&keepalive[..], &keepalive[..], &keepalive[..]].concat();
         bytes[2 * keepalive.len()] = 0;
         let received = a.msgs_received;
-        a.on_bytes(SimTime::ZERO, &bytes);
+        a.on_bytes(SimTime::ZERO, &bytes, &rib());
         assert_eq!(a.msgs_received, received + 2, "the good ones were handled");
         let evs = a.take_events();
         assert!(
@@ -575,7 +629,7 @@ mod tests {
         // the transport up → Connect × Open → FSM error.
         for e in a.take_events() {
             if let SessionEvent::SendBytes(bytes) = e {
-                b.on_bytes(SimTime::ZERO, &bytes);
+                b.on_bytes(SimTime::ZERO, &bytes, &rib());
             }
         }
         assert!(b

@@ -48,7 +48,9 @@
 //! set, announce groups) are held on the speaker and reused, so a
 //! post-convergence reconcile allocates nothing.
 
-use crate::msg::{announce_next_hop_offset, encode_attrs, encode_updates, PathAttributes};
+use crate::msg::{
+    announce_next_hop_offset, check_announce, encode_attrs, encode_updates, PathAttributes,
+};
 use crate::policy::RouteMap;
 use crate::rib::{BestPath, HopSetId, LocRib, RibStats};
 use crate::session::{PeerConfig, Session, SessionEvent, SessionState, TimerConfig};
@@ -207,6 +209,9 @@ pub struct BgpSpeaker {
     export_memo: FastMap<(u32, u32, u32), Option<Exported>>,
     export_hits: u64,
     export_misses: u64,
+    /// Announcements withheld because the prefix cannot follow its export
+    /// block in any UPDATE (see [`BgpSpeaker::unsendable_routes`]).
+    unsendable: u64,
     /// Import route-map per peer index (`None` = permit all, unchanged).
     import_policy: Vec<Option<Arc<RouteMap>>>,
     /// Export route-map per peer index, applied between split horizon and
@@ -341,6 +346,7 @@ impl BgpSpeaker {
             export_memo: FastMap::default(),
             export_hits: 0,
             export_misses: 0,
+            unsendable: 0,
             import_policy,
             export_class: export_classes(&export_policy),
             export_policy,
@@ -496,7 +502,7 @@ impl BgpSpeaker {
             self.touched.push(pi);
             let s = &mut self.sessions[pi];
             let before = s.state();
-            s.on_bytes(now, bytes);
+            s.on_bytes(now, bytes, &self.rib);
             let after = s.state();
             if after != before {
                 moved = Some((before, after));
@@ -612,9 +618,23 @@ impl BgpSpeaker {
         s
     }
 
+    /// Announcements this speaker could not make: (peer, prefix) visits
+    /// whose exported attribute block leaves no room for the prefix within
+    /// the 4096-byte UPDATE maximum (`msg::check_announce`). The route
+    /// stays in the Loc-RIB and the FIB; the peer is sent a withdrawal if
+    /// it held the prefix, nothing otherwise.
+    pub fn unsendable_routes(&self) -> u64 {
+        self.unsendable
+    }
+
+    /// The session to `peer` (read access: counters, state).
+    pub fn session(&self, peer: Ipv4Addr) -> Option<&Session> {
+        self.peer_idx(peer).map(|pi| &self.sessions[pi])
+    }
+
     /// State of the session to `peer`.
     pub fn session_state(&self, peer: Ipv4Addr) -> Option<SessionState> {
-        self.peer_idx(peer).map(|pi| self.sessions[pi].state())
+        self.session(peer).map(Session::state)
     }
 
     /// True when every configured session is Established.
@@ -670,11 +690,13 @@ impl BgpSpeaker {
                             );
                             // The single import-policy choke point: the
                             // peer's route-map (if any) transforms or drops
-                            // routes before they are interned into the RIB.
-                            affected.extend(self.rib.update_from_peer_policed(
+                            // routes before they enter the RIB.
+                            affected.extend(self.rib.apply_update(
                                 peer,
                                 true,
-                                &update,
+                                &update.withdrawn,
+                                update.attrs,
+                                &update.nlri,
                                 self.import_policy[pi].as_deref(),
                             ));
                         }
@@ -817,10 +839,22 @@ impl BgpSpeaker {
         let mut used = 0;
         let mut group_of = std::mem::take(&mut self.scratch_group_of);
         group_of.clear();
+        let mut unsendable = 0;
         for &(id, best) in decided {
-            let desired = best.and_then(|b| self.export_route(pi, id, &b));
+            let current = self.adj_out[pi]
+                .get(id.index())
+                .copied()
+                .unwrap_or(NOT_ADVERTISED);
+            let mut desired = best.and_then(|b| self.export_route(pi, id, &b));
+            // Only an announcement about to go out needs the size check:
+            // what the peer already holds was sent, so it fit.
+            if let Some(want) = desired {
+                if want != current && !self.announceable(want, id) {
+                    unsendable += 1;
+                    desired = None;
+                }
+            }
             let row = &mut self.adj_out[pi];
-            let current = row.get(id.index()).copied().unwrap_or(NOT_ADVERTISED);
             match desired {
                 None if current != NOT_ADVERTISED => {
                     withdraws.push(id);
@@ -882,6 +916,16 @@ impl BgpSpeaker {
         if used > 0 && !mrai.is_zero() {
             self.mrai_ready[pi] = now + mrai;
         }
+        if unsendable > 0 {
+            self.unsendable += u64::from(unsendable);
+            self.tracer.record(
+                now,
+                TraceData::BgpUnsendable {
+                    peer: u32::from(self.peer_addrs[pi]),
+                    prefixes: unsendable,
+                },
+            );
+        }
         self.scratch_withdraws = withdraws;
         self.scratch_groups = groups;
         self.scratch_group_of = group_of;
@@ -936,6 +980,17 @@ impl BgpSpeaker {
             session.send_encoded_update(Bytes::copy_from_slice(&image.bytes[start..end]));
             start = end;
         }
+    }
+
+    /// Whether an UPDATE can announce prefix `id` with export `export` at
+    /// all (see [`check_announce`]).
+    fn announceable(&self, export: u32, id: PrefixId) -> bool {
+        let attrs_len = self.exports.blocks[export as usize].0.len();
+        // A /32 is the longest prefix on the wire: when one fits, every
+        // prefix does, and the shared prefix table need not be read.
+        let host = Ipv4Prefix::new(Ipv4Addr::UNSPECIFIED, 32);
+        check_announce(attrs_len, host).is_ok()
+            || check_announce(attrs_len, self.rib.prefix_value(id)).is_ok()
     }
 
     /// eBGP export for the peer at index `pi`, as an export id: split
@@ -1405,6 +1460,70 @@ mod tests {
         h.speakers[0].poll_timers(SimTime::from_secs(2));
         h.run(SimTime::from_secs(2));
         assert_eq!(h.speakers[0].msgs_sent(), sent_before);
+    }
+
+    #[test]
+    fn route_too_big_to_re_advertise_stays_local_and_is_withdrawn_downstream() {
+        // r1 - r2 - r3; r3 first learns r1's /24 through r2.
+        let p: Ipv4Prefix = "10.1.7.0/24".parse().unwrap();
+        let r1 = speaker(
+            65001,
+            [1, 1, 1, 1],
+            vec![(addr(12, 2), addr(12, 1), 65002)],
+            vec!["10.1.7.0/24"],
+        );
+        let r2 = speaker(
+            65002,
+            [2, 2, 2, 2],
+            vec![
+                (addr(12, 1), addr(12, 2), 65001),
+                (addr(23, 3), addr(23, 2), 65003),
+            ],
+            vec![],
+        );
+        let r3 = speaker(
+            65003,
+            [3, 3, 3, 3],
+            vec![(addr(23, 2), addr(23, 3), 65002)],
+            vec![],
+        );
+        let mut h = Harness::new(vec![r1, r2, r3]);
+        h.start(SimTime::ZERO);
+        assert_eq!(h.fib_of(2).get(&p), Some(&vec![addr(23, 2)]));
+        // r1's session then re-announces the /24 in an UPDATE of exactly
+        // 4096 bytes: its 4069-byte block fits, but r2's export adds its
+        // own AS (2 bytes), after which the /24 no longer does.
+        let mut attrs = PathAttributes::originated(addr(12, 1));
+        attrs.prepend(65001);
+        let mut block = bytes::BytesMut::new();
+        encode_attrs(&attrs, &mut block);
+        let pad = 4069 - block.len() - 4; // extended-length header
+        attrs.unknown = vec![(0xc0, 99, vec![7; pad])];
+        let update = crate::msg::Message::Update(crate::msg::UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(Arc::new(attrs)),
+            nlri: vec![p],
+        })
+        .encode();
+        assert_eq!(update.len(), crate::msg::MAX_MESSAGE_LEN);
+        let now = SimTime::from_secs(1);
+        h.speakers[1].on_bytes(addr(12, 1), now, &update);
+        h.run(now);
+        assert_eq!(h.speakers[1].unsendable_routes(), 1);
+        assert_eq!(
+            h.fib_of(1).get(&p),
+            Some(&vec![addr(12, 1)]),
+            "r2 still routes the prefix"
+        );
+        assert_eq!(
+            h.speakers[1].rib().decide(p).unwrap().best.attrs.unknown[0]
+                .2
+                .len(),
+            pad,
+            "r2's Loc-RIB holds the big route"
+        );
+        assert_eq!(h.fib_of(2).get(&p), None, "r3 got the withdrawal");
+        assert!(h.speakers[1].fully_converged_sessions());
     }
 
     /// Builds a speaker with an MRAI hold-down.

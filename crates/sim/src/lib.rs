@@ -1,8 +1,8 @@
 //! # horse-sim — discrete-event core with a hybrid DES/FTI clock
 //!
 //! This crate implements the simulation substrate of Horse (SIGCOMM'19):
-//! a classic discrete-event engine (event queue + scheduler) whose clock can
-//! run in two modes:
+//! the parts of a discrete-event engine (event queue, timer wheel) and a
+//! clock that can run in two modes:
 //!
 //! * **DES** — the clock jumps directly to the timestamp of the next event.
 //!   This is the fast path used while only (simulated) data-plane traffic is
@@ -25,19 +25,17 @@
 //! * [`HybridClock`] — the DES/FTI mode state machine with a transition log.
 //! * [`Pacer`] — couples FTI steps to wall-clock time (`RealTime`) or runs
 //!   them as fast as possible (`Virtual`) for deterministic tests/benches.
-//! * [`HybridEngine`] — a ready-made run loop for models that fit the
-//!   [`EventHandler`] trait; larger systems (the Horse runner) drive the
-//!   clock and queue directly.
+//!
+//! The run loop that ties them together is the Horse runner
+//! (`horse-core`), which drives the clock, queue and wheel directly.
 
 pub mod clock;
-pub mod engine;
 pub mod event;
 pub mod pacing;
 pub mod time;
 pub mod wheel;
 
 pub use clock::{ClockMode, FtiConfig, HybridClock, ModeTransition};
-pub use engine::{EventHandler, HybridEngine, Scheduler};
 pub use event::{EventId, EventQueue};
 pub use pacing::{Pacer, Pacing};
 pub use time::{SimDuration, SimTime};

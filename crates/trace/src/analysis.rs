@@ -19,6 +19,7 @@ pub fn conversation_of(component: Component, data: &TraceData) -> Option<String>
         TraceData::BgpFsm { peer, .. }
         | TraceData::BgpTx { peer, .. }
         | TraceData::BgpRx { peer, .. }
+        | TraceData::BgpUnsendable { peer, .. }
         | TraceData::MraiFlush { peer, .. } => match component {
             Component::Bgp(n) => Some(format!("bgp:n{n}<->{}", fmt_ip(peer))),
             _ => Some(format!("bgp:{}", fmt_ip(peer))),

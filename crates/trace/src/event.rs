@@ -139,6 +139,14 @@ pub enum TraceData {
         /// Prefixes withdrawn.
         withdrawn: u32,
     },
+    /// Announcements to a peer withheld because no UPDATE can carry them:
+    /// the prefix does not fit behind its attribute block.
+    BgpUnsendable {
+        /// Peer address (IPv4 bits).
+        peer: u32,
+        /// Prefixes withheld in this sync.
+        prefixes: u32,
+    },
     /// An MRAI hold-down expired and the pending batch flushed to the peer.
     MraiFlush {
         /// Peer address (IPv4 bits).
@@ -217,6 +225,7 @@ impl TraceData {
             TraceData::BgpFsm { .. } => "bgp_fsm",
             TraceData::BgpTx { .. } => "bgp_tx",
             TraceData::BgpRx { .. } => "bgp_rx",
+            TraceData::BgpUnsendable { .. } => "bgp_unsendable",
             TraceData::MraiFlush { .. } => "mrai_flush",
             TraceData::RibWork { .. } => "rib_work",
             TraceData::OfPacketIn { .. } => "of_packet_in",
@@ -264,7 +273,8 @@ impl TraceData {
                 "{{\"peer\":\"{}\",\"announced\":{announced},\"withdrawn\":{withdrawn}}}",
                 fmt_ip(peer)
             ),
-            TraceData::MraiFlush { peer, prefixes } => {
+            TraceData::BgpUnsendable { peer, prefixes }
+            | TraceData::MraiFlush { peer, prefixes } => {
                 format!("{{\"peer\":\"{}\",\"prefixes\":{prefixes}}}", fmt_ip(peer))
             }
             TraceData::RibWork {

@@ -22,9 +22,6 @@
 //! gated in one place, the repo benchmark under `benchmark/` (DESIGN.md
 //! "Where performance is asserted").
 //!
-//! plus `benches/micro.rs`, the Criterion micro-benchmarks over the hot
-//! data structures.
-//!
 //! Every binary prints a human-readable table and writes JSON/CSV into
 //! `bench_results/` at the workspace root.
 

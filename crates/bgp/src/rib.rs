@@ -45,15 +45,16 @@
 //!   `AttrId`). The candidate index, decision cache and per-peer Adj-RIB-In
 //!   become dense `Vec`s indexed by id: a decide is an array load, not a
 //!   tree walk.
-//! * Per prefix, candidates live in a small sorted `Vec` ordered by
+//! * Per prefix, candidates live in a 24-byte set ordered by
 //!   `(remote, peer address)` — byte-for-byte the iteration order of the
 //!   old `BTreeMap<CandKey, _>`, which the `min_by` tie-break (step 7)
-//!   depends on.
+//!   depends on. A single candidate, the common case on a leaf router, is
+//!   stored inline; only two or more take a heap block.
 //! * The per-prefix memo is a [`BestPath`] record — best candidate plus
-//!   the interned id of the multipath next-hop set ([`HopSetId`]) — not a
-//!   heap object. The public [`Decision`] is a *view* that
-//!   [`LocRib::decide`] builds on demand from that record and the
-//!   candidate set, for tests, dumps and the differential oracles.
+//!   the interned id of the multipath next-hop set ([`HopSetId`]) —
+//!   packed into 12 bytes, not a heap object. The public [`Decision`] is
+//!   a *view* that [`LocRib::decide`] builds on demand from that record
+//!   and the candidate set, for tests, dumps and the differential oracles.
 //!
 //! Ids order by first appearance, **not** by value. Every API that feeds a
 //! determinism-sensitive consumer (affected-sets, the live prefix index)
@@ -164,8 +165,9 @@ fn canon_key(a: &PathAttributes) -> CanonKey<'_> {
     )
 }
 
-/// The top bit of an [`AttrId`], never set in an id (asserted at insert):
-/// [`CandEntry`] keeps the eBGP flag there.
+/// The top bit of an [`AttrId`], never set in an id (ids stay below
+/// [`ATTR_ID_LIMIT`], asserted at insert): [`CandEntry`] and [`Memo`] keep
+/// the eBGP flag there.
 const EBGP_BIT: u32 = 1 << 31;
 
 /// The wire index's key for a received path-attribute block: the offset
@@ -251,7 +253,10 @@ impl AttrStore {
 
     fn insert_new(&mut self, hash: u64, attrs: Arc<PathAttributes>) -> AttrId {
         let id = AttrId(self.metas.len() as u32);
-        assert!(id.0 < EBGP_BIT, "attribute pool exhausted its id space");
+        assert!(
+            id.0 < ATTR_ID_LIMIT,
+            "attribute pool exhausted its id space"
+        );
         let meta = AttrMeta {
             local_pref: attrs.local_pref.unwrap_or(100),
             path_len: attrs.as_path_len() as u32,
@@ -551,8 +556,9 @@ pub struct RxAttrs {
     pub next_hop: Ipv4Addr,
 }
 
-/// One candidate in a prefix's sorted set, 12 bytes (`wan_table_10k`
-/// holds 1.42 M of them). `addr_key` is the sort key: local origination
+/// One candidate in a prefix's sorted [`CandSet`], 12 bytes
+/// (`wan_table_10k` holds 1.42 M of them, most stored inline as a set's
+/// only entry). `addr_key` is the sort key: local origination
 /// is 0 and sorts first; remote peers follow in ascending address order —
 /// exactly the gathering order of the naive decision loop, which the
 /// `min_by` tie-break depends on. A peer at `0.0.0.0` would collide with
@@ -601,6 +607,83 @@ impl CandEntry {
 }
 
 const LOCAL_KEY: u32 = 0;
+
+/// One prefix's candidates, sorted by [`CandEntry::key`], in 24 bytes.
+/// Most prefixes of a leaf router have exactly one candidate, so that case
+/// is stored inline; a set that drops back to one entry returns to `One`.
+/// Readers only ever see the slice ([`CandSet::as_slice`]).
+#[derive(Debug, Clone)]
+enum CandSet {
+    Empty,
+    One(CandEntry),
+    /// Two or more entries. The block starts at capacity 4 and doubles:
+    /// growing it exactly would reallocate on every insert, and a
+    /// fat-tree router takes up to k/2 candidates per prefix one by one.
+    Many(Vec<CandEntry>),
+}
+
+const _: () = assert!(std::mem::size_of::<CandSet>() == 24);
+
+impl CandSet {
+    fn as_slice(&self) -> &[CandEntry] {
+        match self {
+            CandSet::Empty => &[],
+            CandSet::One(e) => std::slice::from_ref(e),
+            CandSet::Many(v) => v,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, CandSet::Empty)
+    }
+
+    /// Inserts `entry`, or replaces the one with its key and returns it.
+    fn upsert(&mut self, entry: CandEntry) -> Option<CandEntry> {
+        let at = match self
+            .as_slice()
+            .binary_search_by_key(&entry.key(), CandEntry::key)
+        {
+            Ok(i) => {
+                let slot = match self {
+                    CandSet::One(e) => e,
+                    CandSet::Many(v) => &mut v[i],
+                    CandSet::Empty => unreachable!("found in an empty set"),
+                };
+                return Some(std::mem::replace(slot, entry));
+            }
+            Err(i) => i,
+        };
+        match self {
+            CandSet::Empty => *self = CandSet::One(entry),
+            CandSet::One(e) => {
+                let mut v = Vec::with_capacity(4);
+                v.push(*e);
+                v.insert(at, entry);
+                *self = CandSet::Many(v);
+            }
+            CandSet::Many(v) => v.insert(at, entry),
+        }
+        None
+    }
+
+    /// Removes the entry with `key`; true when there was one.
+    fn remove(&mut self, key: u32) -> bool {
+        let Ok(at) = self.as_slice().binary_search_by_key(&key, CandEntry::key) else {
+            return false;
+        };
+        match self {
+            CandSet::One(_) => *self = CandSet::Empty,
+            CandSet::Many(v) => {
+                v.remove(at);
+                if let [last] = v[..] {
+                    *self = CandSet::One(last);
+                }
+            }
+            CandSet::Empty => unreachable!("found in an empty set"),
+        }
+        true
+    }
+}
 
 /// One route in a [`Decision`].
 #[derive(Debug, Clone, PartialEq)]
@@ -685,31 +768,76 @@ const UNREACHABLE: u32 = u32::MAX;
 /// reports a change whatever the decision is.
 const UNSYNCED: (u32, u32) = (u32::MAX - 1, 0);
 
-/// Per-prefix decision memo.
-#[derive(Debug, Clone, Copy)]
-enum Memo {
-    /// Not computed since the last invalidation.
-    Stale,
-    /// Computed: no candidates survive.
-    Unreachable,
-    /// Computed: the memoized decision.
-    Reachable(BestPath),
+/// Per-prefix decision memo, a [`BestPath`] packed into 12 bytes: the eBGP
+/// flag rides in [`EBGP_BIT`] of the attribute word, as in [`CandEntry`],
+/// and two attribute words no id can produce mark the other states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Memo {
+    /// The best path's [`AttrId`] plus [`EBGP_BIT`], or [`MEMO_STALE`] /
+    /// [`MEMO_UNREACHABLE`].
+    attr_ebgp: u32,
+    peer: u32,
+    next_hops: HopSetId,
 }
 
-/// Per-prefix slot: the memo plus the exported identity the speaker last
-/// fanned out to its peers. The identity survives invalidation — that is
-/// the point: a recompute that lands on the same best path is recognised
-/// as "nothing to tell the peers".
+/// Attribute word of a memo not computed since the last invalidation.
+const MEMO_STALE: u32 = u32::MAX;
+/// Attribute word of a memo whose prefix has no candidates left.
+const MEMO_UNREACHABLE: u32 = u32::MAX - 1;
+/// Ids stay below this, so no eBGP attribute word reaches the sentinels.
+const ATTR_ID_LIMIT: u32 = EBGP_BIT - 2;
+
+impl Memo {
+    const STALE: Memo = Memo::sentinel(MEMO_STALE);
+    const UNREACHABLE: Memo = Memo::sentinel(MEMO_UNREACHABLE);
+
+    const fn sentinel(attr_ebgp: u32) -> Memo {
+        Memo {
+            attr_ebgp,
+            peer: 0,
+            next_hops: HopSetId::EMPTY,
+        }
+    }
+
+    fn reachable(best: BestPath) -> Memo {
+        Memo {
+            attr_ebgp: best.attr_id.0 | if best.ebgp { EBGP_BIT } else { 0 },
+            peer: u32::from(best.peer),
+            next_hops: best.next_hops,
+        }
+    }
+
+    /// The decision, once computed: `Some(None)` for an unreachable prefix.
+    fn get(self) -> Option<Option<BestPath>> {
+        match self.attr_ebgp {
+            MEMO_STALE => None,
+            MEMO_UNREACHABLE => Some(None),
+            word => Some(Some(BestPath {
+                attr_id: AttrId(word & !EBGP_BIT),
+                peer: Ipv4Addr::from(self.peer),
+                ebgp: word & EBGP_BIT != 0,
+                next_hops: self.next_hops,
+            })),
+        }
+    }
+}
+
+/// Per-prefix slot, 20 bytes: the memo plus the exported identity the
+/// speaker last fanned out to its peers. The identity survives
+/// invalidation — that is the point: a recompute that lands on the same
+/// best path is recognised as "nothing to tell the peers".
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     memo: Memo,
     synced: (u32, u32),
 }
 
+const _: () = assert!(std::mem::size_of::<Slot>() == 20);
+
 impl Default for Slot {
     fn default() -> Self {
         Slot {
-            memo: Memo::Stale,
+            memo: Memo::STALE,
             synced: UNSYNCED,
         }
     }
@@ -860,9 +988,9 @@ pub struct LocRib {
     /// Per peer id: the prefix ids it currently contributes.
     adj_in: Vec<IdSet>,
     /// Per prefix id: candidates sorted by `(remote, addr_key)`. Empty
-    /// sets stay allocated (ids are never reused); `live` tracks how many
+    /// sets keep their slot (ids are never reused); `live` tracks how many
     /// are non-empty.
-    candidates: Vec<Vec<CandEntry>>,
+    candidates: Vec<CandSet>,
     live: usize,
     /// Per prefix id: memoized decision and last synced identity.
     /// Interior mutability keeps `decide(&self)`.
@@ -933,7 +1061,7 @@ impl LocRib {
     /// Makes `id` a valid index into the dense per-prefix arenas.
     fn grow_arenas(&mut self, id: PrefixId) {
         if id.index() >= self.candidates.len() {
-            self.candidates.resize(id.index() + 1, Vec::new());
+            self.candidates.resize(id.index() + 1, CandSet::Empty);
             self.cache.get_mut().resize(id.index() + 1, Slot::default());
         }
     }
@@ -966,16 +1094,10 @@ impl LocRib {
     /// same key and maintaining the live-prefix count.
     fn upsert_candidate(&mut self, id: PrefixId, entry: CandEntry) -> Option<CandEntry> {
         let set = &mut self.candidates[id.index()];
-        match set.binary_search_by_key(&entry.key(), CandEntry::key) {
-            Ok(i) => Some(std::mem::replace(&mut set[i], entry)),
-            Err(i) => {
-                if set.is_empty() {
-                    self.live += 1;
-                }
-                set.insert(i, entry);
-                None
-            }
+        if set.is_empty() {
+            self.live += 1;
         }
+        set.upsert(entry)
     }
 
     /// Removes the candidate with `key`, maintaining the live count. Ids
@@ -985,16 +1107,13 @@ impl LocRib {
         let Some(set) = self.candidates.get_mut(id.index()) else {
             return false;
         };
-        match set.binary_search_by_key(&key, CandEntry::key) {
-            Ok(i) => {
-                set.remove(i);
-                if set.is_empty() {
-                    self.live -= 1;
-                }
-                true
-            }
-            Err(_) => false,
+        if !set.remove(key) {
+            return false;
         }
+        if set.is_empty() {
+            self.live -= 1;
+        }
+        true
     }
 
     /// Originates a local network, returning the prefix's id.
@@ -1180,8 +1299,8 @@ impl LocRib {
 
     fn invalidate(&mut self, id: PrefixId) {
         let slot = &mut self.cache.get_mut()[id.index()];
-        if !matches!(slot.memo, Memo::Stale) {
-            slot.memo = Memo::Stale;
+        if slot.memo != Memo::STALE {
+            slot.memo = Memo::STALE;
             self.stats.get_mut().invalidations += 1;
         }
     }
@@ -1356,20 +1475,16 @@ impl LocRib {
             stats.decide_cache_hits += 1;
             return (None, false);
         };
-        let best = match slot.memo {
-            Memo::Stale => {
+        let best = match slot.memo.get() {
+            None => {
                 stats.decide_recomputes += 1;
                 let best = self.compute(id, &mut stats);
-                slot.memo = best.map_or(Memo::Unreachable, Memo::Reachable);
+                slot.memo = best.map_or(Memo::UNREACHABLE, Memo::reachable);
                 best
             }
-            Memo::Unreachable => {
+            Some(best) => {
                 stats.decide_cache_hits += 1;
-                None
-            }
-            Memo::Reachable(best) => {
-                stats.decide_cache_hits += 1;
-                Some(best)
+                best
             }
         };
         let identity = BestPath::identity(best);
@@ -1382,7 +1497,7 @@ impl LocRib {
 
     /// The uncached decision process: rank the prefix's candidate set.
     fn compute(&self, id: PrefixId, stats: &mut RibStats) -> Option<BestPath> {
-        let cands = &self.candidates[id.index()];
+        let cands = self.candidates[id.index()].as_slice();
         if cands.is_empty() {
             return None;
         }
@@ -1413,7 +1528,7 @@ impl LocRib {
     /// Builds the [`Decision`] view of a reachable prefix around its
     /// memoized best path.
     fn view(&self, id: PrefixId, best: BestPath) -> Decision {
-        let cands = &self.candidates[id.index()];
+        let cands = self.candidates[id.index()].as_slice();
         let store = self.pool.read();
         let at = cands
             .binary_search_by_key(&u32::from(best.peer), CandEntry::key)
@@ -1909,6 +2024,11 @@ mod tests {
         announce(&mut rib, [10, 0, 0, 2], &[3, 4], "10.8.0.0/16");
         let p = pfx("10.9.0.0/16");
         let best = rib.decide_id(rib.prefix_id(p).unwrap()).unwrap();
+        assert_eq!(
+            rib.decide_id(rib.prefix_id(p).unwrap()),
+            Some(best),
+            "the packed memo gives back the record it stored"
+        );
         let view = rib.decide(p).unwrap();
         assert_eq!(best.peer, Ipv4Addr::new(10, 0, 0, 1), "lowest peer wins");
         assert_eq!(
@@ -2090,6 +2210,57 @@ mod tests {
         h.write(&zeroed);
         assert_eq!(wire_key(&a), Some((at, h.finish())));
         assert_eq!(wire_key(&a), wire_key(&a_elsewhere));
+    }
+
+    #[test]
+    fn candidate_set_walks_empty_one_many_one_empty() {
+        let mut rib = LocRib::new(65000, true);
+        let p = pfx("10.9.0.0/16");
+        let (p1, p2) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let withdraw = |rib: &mut LocRib, peer: Ipv4Addr| {
+            let u = UpdateMsg {
+                withdrawn: vec![p],
+                attrs: None,
+                nlri: vec![],
+            };
+            rib.update_from_peer(peer, true, &u);
+        };
+        // (set length, best peer, adj-in lengths of p1 and p2) at each step.
+        let check = |rib: &LocRib, len: usize, best: Option<Ipv4Addr>, adj: (usize, usize)| {
+            let set = rib.prefix_id(p).map(|id| &rib.candidates[id.index()]);
+            assert_eq!(set.map_or(0, |s| s.as_slice().len()), len);
+            match (len, set) {
+                (0, _) => assert!(set.is_none_or(CandSet::is_empty)),
+                (1, Some(CandSet::One(_))) => {}
+                (_, Some(CandSet::Many(v))) => assert!(v.len() > 1),
+                (_, other) => panic!("{len} candidates stored as {other:?}"),
+            }
+            let live = usize::from(len > 0);
+            assert_eq!(rib.prefix_count(), live);
+            assert_eq!(rib.live_prefix_ids().len(), live);
+            assert_eq!(rib.decide(p).map(|d| d.best.peer), best);
+            assert_eq!((rib.adj_in_len(p1), rib.adj_in_len(p2)), adj);
+        };
+        check(&rib, 0, None, (0, 0));
+        announce(&mut rib, [10, 0, 0, 2], &[1, 2], "10.9.0.0/16");
+        check(&rib, 1, Some(p2), (0, 1));
+        // Local goes in front of p2, p1 between them.
+        rib.originate(p, Ipv4Addr::new(10, 0, 0, 99));
+        announce(&mut rib, [10, 0, 0, 1], &[3], "10.9.0.0/16");
+        check(&rib, 3, Some(Ipv4Addr::UNSPECIFIED), (1, 1));
+        let sorted: Vec<u32> = rib.candidates[rib.prefix_id(p).unwrap().index()]
+            .as_slice()
+            .iter()
+            .map(CandEntry::key)
+            .collect();
+        assert_eq!(sorted, [LOCAL_KEY, u32::from(p1), u32::from(p2)]);
+        // Out of the middle, then off the front: back to one inline entry.
+        withdraw(&mut rib, p1);
+        check(&rib, 2, Some(Ipv4Addr::UNSPECIFIED), (0, 1));
+        assert_eq!(rib.withdraw_local(p), rib.prefix_id(p));
+        check(&rib, 1, Some(p2), (0, 1));
+        withdraw(&mut rib, p2);
+        check(&rib, 0, None, (0, 0));
     }
 
     #[test]

@@ -634,20 +634,25 @@ impl BgpControl {
         if self.mode == PumpMode::FullPoll {
             ready.extend(self.speakers.keys().copied());
         }
-        // 2. Deliver, poll and drain only the ready speakers. A clean
-        // speaker cannot hold queued outputs or a moved deadline: both
-        // only change when the speaker is touched, and every touch marks
-        // it ready.
+        // 2. Deliver, poll and drain only the ready speakers, and 3. merge
+        // each drained node in ascending `NodeId` order. A clean speaker
+        // cannot hold queued outputs or a moved deadline: both only change
+        // when the speaker is touched, and every touch marks it ready.
+        //
+        // Serially, each node is merged as soon as it is drained, so one
+        // node's outputs are alive at a time — not every ready node's at
+        // once. A drain reads none of what a merge writes (this step's
+        // deliveries were taken above), so this order gives the same bytes
+        // as draining everything first.
         //
         // With workers configured and enough ready nodes to amortize the
         // scoped spawn, the drain shards across the work-stealing pool:
         // speakers are disjoint `&mut`s whose only shared state is the
         // lock-light per-run pools, and workers never touch CM state —
-        // they only produce per-node result tuples. Both paths emit those
-        // tuples in ascending `NodeId` order, so the step-3 merge below is
-        // byte-identical at any worker count.
-        let parallel = self.run_threads > 1 && ready.len() >= PAR_MIN_NODES;
-        let drained: Vec<DrainedNode> = if parallel {
+        // they only produce per-node result tuples, collected in ascending
+        // `NodeId` order and merged after the scoped drain, so the result
+        // is byte-identical at any worker count.
+        if self.run_threads > 1 && ready.len() >= PAR_MIN_NODES {
             // O(speakers) pointer walk to gather disjoint `&mut`s in
             // ascending node order — cheap next to the protocol work, and
             // it needs no unsafe splitting of the map.
@@ -665,66 +670,67 @@ impl BgpControl {
                     .expect("each drain slot is claimed exactly once");
                 drain_one(node, s, msgs, now)
             });
-            results.into_iter().map(|r| r.value).collect()
+            self.stats.parallel_rounds += 1;
+            self.stats.parallel_nodes += results.len() as u64;
+            for r in results {
+                self.merge_drained(dp, r.value, &mut out);
+            }
         } else {
-            let mut drained = Vec::with_capacity(ready.len());
             for node in &ready {
                 let Some(s) = self.speakers.get_mut(node) else {
                     continue;
                 };
                 let msgs = by_dst.remove(node).unwrap_or_default();
-                drained.push(drain_one(*node, s, msgs, now));
-            }
-            drained
-        };
-        self.stats.nodes_touched += drained.len() as u64;
-        if parallel {
-            self.stats.parallel_rounds += 1;
-            self.stats.parallel_nodes += drained.len() as u64;
-        }
-        // 3. Merge on this thread in ascending node order: re-register
-        // deadlines, queue bytes for next step, apply routes now.
-        for (node, outputs, deadline) in drained {
-            if let Some(moved) = deadline {
-                match moved {
-                    Some(d) => self.wheel.schedule(node, d),
-                    None => {
-                        self.wheel.cancel(node);
-                    }
-                }
-            }
-            // The node's FIB and neighbor map, resolved once for however
-            // many routes this drain changed.
-            let mut routes = self.installer.for_node(dp, node);
-            let installs_before = self.installs;
-            for o in outputs {
-                match o {
-                    SpeakerOutput::SendBytes { peer, bytes } => {
-                        out.activity = true;
-                        // `peer` is the remote's address on this session;
-                        // our local address on it is what the remote knows
-                        // us by.
-                        let from = self.local_addr_of[&(node, peer)];
-                        if let Some(dst) = self.route_of_addr.get(&(node, peer)) {
-                            self.in_flight.push((*dst, from, bytes));
-                        }
-                    }
-                    SpeakerOutput::RouteChanged { prefix, next_hops } => {
-                        out.activity = true;
-                        if routes.as_mut().is_some_and(|r| r.apply(prefix, &next_hops)) {
-                            self.installs += 1;
-                        }
-                    }
-                    SpeakerOutput::SessionUp { .. } | SpeakerOutput::SessionDown { .. } => {
-                        out.activity = true;
-                    }
-                }
-            }
-            if self.installs != installs_before {
-                self.changed.push(node);
+                let drained = drain_one(*node, s, msgs, now);
+                self.merge_drained(dp, drained, &mut out);
             }
         }
         out
+    }
+
+    /// Step 3 of [`BgpControl::pump`] for one drained node, on the pump's
+    /// thread: re-register its deadline, queue its bytes for next step and
+    /// apply its route changes now.
+    fn merge_drained(&mut self, dp: &mut DataPlane, drained: DrainedNode, out: &mut PumpOutcome) {
+        let (node, outputs, deadline) = drained;
+        self.stats.nodes_touched += 1;
+        if let Some(moved) = deadline {
+            match moved {
+                Some(d) => self.wheel.schedule(node, d),
+                None => {
+                    self.wheel.cancel(node);
+                }
+            }
+        }
+        // The node's FIB and neighbor map, resolved once for however many
+        // routes this drain changed.
+        let mut routes = self.installer.for_node(dp, node);
+        let installs_before = self.installs;
+        for o in outputs {
+            match o {
+                SpeakerOutput::SendBytes { peer, bytes } => {
+                    out.activity = true;
+                    // `peer` is the remote's address on this session; our
+                    // local address on it is what the remote knows us by.
+                    let from = self.local_addr_of[&(node, peer)];
+                    if let Some(dst) = self.route_of_addr.get(&(node, peer)) {
+                        self.in_flight.push((*dst, from, bytes));
+                    }
+                }
+                SpeakerOutput::RouteChanged { prefix, next_hops } => {
+                    out.activity = true;
+                    if routes.as_mut().is_some_and(|r| r.apply(prefix, &next_hops)) {
+                        self.installs += 1;
+                    }
+                }
+                SpeakerOutput::SessionUp { .. } | SpeakerOutput::SessionDown { .. } => {
+                    out.activity = true;
+                }
+            }
+        }
+        if self.installs != installs_before {
+            self.changed.push(node);
+        }
     }
 
     fn next_deadline(&self) -> Option<SimTime> {

@@ -2,14 +2,15 @@
 //! map of routes, probed one prefix length at a time, over a table of
 //! interned entries.
 //!
-//! * **Routes** live in one [`FastMap`] keyed by `(length, network)` packed
-//!   into a word, so installing, replacing and removing a route is one probe
-//!   whatever the prefix length. A count of routes per length (and the bit
-//!   mask of the lengths in use) lets [`Fib::lookup`] probe only lengths
-//!   that hold a route, longest first: a lookup costs at most one probe per
-//!   *distinct* length present — never more than 33, two or three in the
-//!   tables these experiments build — instead of a pointer walk per address
-//!   bit.
+//! * **Routes** live in one [`FastMap`] keyed by `(network, length)` as two
+//!   4-byte words — a 12-byte bucket with its entry id — and hashed as one
+//!   word, length above network, so installing, replacing and removing a
+//!   route is one probe whatever the prefix length. A count of routes per
+//!   length (and the bit mask of the lengths in use) lets [`Fib::lookup`]
+//!   probe only lengths that hold a route, longest first: a lookup costs
+//!   at most one probe per *distinct* length present — never more than 33,
+//!   two or three in the tables these experiments build — instead of a
+//!   pointer walk per address bit.
 //! * **Entries** are interned per FIB: routes hold an [`EntryId`], equal
 //!   `(origin, next hops)` are stored once, and "did this install change
 //!   the table" is an id comparison. Entries are reference-counted by the
@@ -82,23 +83,45 @@ struct Slot {
     refs: u32,
 }
 
-/// The route-map key: prefix length above the network address.
-fn route_key(len: u8, network: u32) -> u64 {
-    u64::from(len) << 32 | u64::from(network)
+/// The route-map key: a prefix as two 4-byte words, so a `(key, EntryId)`
+/// bucket is 12 bytes where a `u64` key would pad it to 16.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RouteKey {
+    network: u32,
+    len: u32,
 }
 
-fn key_of(prefix: Ipv4Prefix) -> u64 {
-    route_key(prefix.len(), u32::from(prefix.network()))
+const _: () = assert!(std::mem::size_of::<(RouteKey, EntryId)>() == 12);
+
+impl std::hash::Hash for RouteKey {
+    /// One word, prefix length above the network address: a probe hashes
+    /// one `u64`, not two `u32`s.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.len) << 32 | u64::from(self.network));
+    }
 }
 
-fn prefix_of(key: u64) -> Ipv4Prefix {
-    Ipv4Prefix::new(Ipv4Addr::from(key as u32), (key >> 32) as u8)
+impl RouteKey {
+    fn new(len: u8, network: u32) -> RouteKey {
+        RouteKey {
+            network,
+            len: u32::from(len),
+        }
+    }
+
+    fn of(prefix: Ipv4Prefix) -> RouteKey {
+        RouteKey::new(prefix.len(), u32::from(prefix.network()))
+    }
+
+    fn prefix(self) -> Ipv4Prefix {
+        Ipv4Prefix::new(Ipv4Addr::from(self.network), self.len as u8)
+    }
 }
 
 /// A longest-prefix-match FIB.
 #[derive(Debug, Clone)]
 pub struct Fib {
-    routes: FastMap<u64, EntryId>,
+    routes: FastMap<RouteKey, EntryId>,
     /// Routes installed per prefix length.
     len_counts: [u32; 33],
     /// Bit `len` is set exactly when `len_counts[len] > 0`.
@@ -198,7 +221,7 @@ impl Fib {
     /// the caller.
     fn point(&mut self, prefix: Ipv4Prefix, id: EntryId) -> Option<EntryId> {
         self.slots[id.0 as usize].refs += 1;
-        match self.routes.entry(key_of(prefix)) {
+        match self.routes.entry(RouteKey::of(prefix)) {
             Entry::Occupied(mut route) => Some(route.insert(id)),
             Entry::Vacant(route) => {
                 route.insert(id);
@@ -234,7 +257,7 @@ impl Fib {
 
     /// Removes the route for `prefix`, returning its entry if present.
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<Arc<RouteEntry>> {
-        let id = self.routes.remove(&key_of(prefix))?;
+        let id = self.routes.remove(&RouteKey::of(prefix))?;
         let len = usize::from(prefix.len());
         self.len_counts[len] -= 1;
         if self.len_counts[len] == 0 {
@@ -245,7 +268,7 @@ impl Fib {
 
     /// The exact-match entry for `prefix`, if installed.
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&RouteEntry> {
-        let id = self.routes.get(&key_of(prefix))?;
+        let id = self.routes.get(&RouteKey::of(prefix))?;
         Some(&self.slots[id.0 as usize].entry)
     }
 
@@ -257,9 +280,9 @@ impl Fib {
         while lens != 0 {
             let len = (63 - lens.leading_zeros()) as u8;
             lens &= !(1 << len);
-            let key = route_key(len, bits & Ipv4Prefix::mask(len));
+            let key = RouteKey::new(len, bits & Ipv4Prefix::mask(len));
             if let Some(id) = self.routes.get(&key) {
-                return Some((prefix_of(key), &self.slots[id.0 as usize].entry));
+                return Some((key.prefix(), &self.slots[id.0 as usize].entry));
             }
         }
         None
@@ -271,7 +294,7 @@ impl Fib {
         let mut out: Vec<(Ipv4Prefix, &RouteEntry)> = self
             .routes
             .iter()
-            .map(|(key, id)| (prefix_of(*key), &*self.slots[id.0 as usize].entry))
+            .map(|(key, id)| (key.prefix(), &*self.slots[id.0 as usize].entry))
             .collect();
         out.sort_unstable_by_key(|(prefix, _)| *prefix);
         out
@@ -284,7 +307,7 @@ impl Fib {
             .routes
             .iter()
             .filter(|(_, id)| self.slots[id.0 as usize].entry.origin == origin)
-            .map(|(key, _)| prefix_of(*key))
+            .map(|(key, _)| key.prefix())
             .collect();
         for prefix in &doomed {
             self.remove(*prefix);

@@ -9,10 +9,12 @@
 
 use horse::net::flow::FlowSpec;
 use horse::sim::{SimDuration, SimTime};
-use horse::topo::bgp_setups_for;
 use horse::topo::fattree::{FatTree, SwitchRole};
 use horse::topo::pattern::demo_tuple;
-use horse::{ControlBuild, Experiment, PumpMode, TeApproach};
+use horse::topo::{
+    bgp_setups_for, bgp_setups_with_networks, pop_wan, spread_originations, wan_timers,
+};
+use horse::{ControlBuild, Experiment, ExperimentReport, PumpMode, TeApproach};
 
 const G: f64 = 1e9;
 
@@ -125,28 +127,48 @@ fn sdn_link_failure_matches_full_poll() {
 
 #[test]
 fn bgp_demo_is_byte_identical_at_any_run_thread_count() {
-    let run = |threads: usize| {
+    // The serial pump merges each node as soon as it is drained; the
+    // sharded one merges after the whole scoped drain. Both must give the
+    // same bytes, on drains of a few routes (the fat-tree demo) and of
+    // thousands (a PoP WAN carrying a synthetic table).
+    let demo = |threads: usize| {
         Experiment::demo(4, TeApproach::BgpEcmp, 42)
             .horizon_secs(3.0)
             .run_threads(threads)
             .run()
     };
-    let serial = run(1);
-    assert_eq!(serial.pump_parallel_rounds, 0, "serial pump must not shard");
-    assert_eq!(serial.pump_run_threads, 1);
-    for threads in [2, 4] {
-        let parallel = run(threads);
-        assert_eq!(
-            serial.semantic_json(),
-            parallel.semantic_json(),
-            "semantic report diverged at run_threads={threads}"
-        );
-        assert_eq!(parallel.pump_run_threads, threads as u64);
-        assert!(
-            parallel.pump_parallel_rounds > 0,
-            "demo convergence must shard rounds at run_threads={threads}"
-        );
-        assert!(parallel.pump_parallel_nodes <= parallel.pump_nodes_touched);
+    let wan = |threads: usize| {
+        let (topo, _cores, leaves) = pop_wan(4, 3, G);
+        let setups =
+            bgp_setups_with_networks(&topo, wan_timers(), &spread_originations(&leaves, 2_000));
+        let mut e = Experiment::new(topo).horizon_secs(5.0).run_threads(threads);
+        e.control = ControlBuild::Bgp(setups);
+        e.run()
+    };
+    let inputs: [(&str, &dyn Fn(usize) -> ExperimentReport); 2] =
+        [("fat-tree demo", &demo), ("pop wan", &wan)];
+    for (name, run) in inputs {
+        let serial = run(1);
+        assert_eq!(serial.pump_parallel_rounds, 0, "serial pump must not shard");
+        assert_eq!(serial.pump_run_threads, 1);
+        for threads in [2, 4] {
+            let parallel = run(threads);
+            assert_eq!(
+                serial.semantic_json(),
+                parallel.semantic_json(),
+                "{name}: semantic report diverged at run_threads={threads}"
+            );
+            assert_eq!(
+                serial.pump_nodes_touched, parallel.pump_nodes_touched,
+                "{name}: run_threads={threads} touched other nodes"
+            );
+            assert_eq!(parallel.pump_run_threads, threads as u64);
+            assert!(
+                parallel.pump_parallel_rounds > 0,
+                "{name}: convergence must shard rounds at run_threads={threads}"
+            );
+            assert!(parallel.pump_parallel_nodes <= parallel.pump_nodes_touched);
+        }
     }
 }
 

@@ -3,18 +3,16 @@
 //!
 //! Disjoint-rail topologies carry 10k→100k concurrent flows through the
 //! arena [`FluidNetwork`]: one deferred mega-burst solves every rail
-//! component (sharded across `HORSE_RUN_THREADS` when > 1), then a
-//! stop/start churn loop with lazy completion draining measures the
-//! steady-state per-event cost. Each row records walls, the solver's cost
-//! counters (heap pushes/stale pops, accrual settles, scratch reuses,
-//! parallel rounds) and a per-row peak RSS.
+//! component, then a stop/start churn loop with lazy completion draining
+//! measures the steady-state per-event cost. Each row records walls, the
+//! solver's cost counters (heap pushes/stale pops, accrual settles,
+//! scratch reuses) and a per-row peak RSS.
 //!
 //! Equivalence with the map-keyed [`horse_net::fluid_naive`] oracle over
-//! whole churn scripts, serial and with component solves sharded, is
-//! asserted by `crates/net/tests/prop_fluid.rs`; wall time is asserted
-//! only by `benchmark/` (DESIGN.md "Where performance is asserted"). The
-//! JSON carries honest `cores` and `run_threads` fields so the record says
-//! what it was measured on.
+//! whole churn scripts is asserted by `crates/net/tests/prop_fluid.rs`;
+//! wall time is asserted only by `benchmark/` (DESIGN.md "Where
+//! performance is asserted"). The JSON carries an honest `cores` field so
+//! the record says what it was measured on.
 //!
 //! Run: `cargo run --release -p horse-bench --bin flow_scale --
 //! [churn_ops] [max_flows]` (default max flows: 100000). Writes
@@ -22,7 +20,6 @@
 //! retired arena-vs-oracle replay phase (EXPERIMENTS.md X5); it is still
 //! parsed so recorded command lines keep working, and is otherwise unused.
 
-use horse_core::RunConfig;
 use horse_net::flow::{FiveTuple, FlowId, FlowSpec};
 use horse_net::fluid::{FluidNetwork, SolverStats};
 use horse_net::topology::{LinkId, NodeId, Topology};
@@ -58,8 +55,8 @@ struct Rail {
 }
 
 /// `n` disjoint host pairs, each joined by one 1 Gbps link — every rail
-/// is an independent max–min component, so multi-rail bursts exercise
-/// the parallel component shard.
+/// is an independent max–min component, so one burst solves many
+/// components.
 fn rails_topo(n: usize) -> (Topology, Vec<Rail>) {
     let mut t = Topology::new();
     let sn: horse_net::addr::Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
@@ -96,16 +93,15 @@ struct CurveRow {
     rss_reset: bool,
 }
 
-fn run_curve_row(n_flows: usize, run_threads: usize) -> CurveRow {
+fn run_curve_row(n_flows: usize) -> CurveRow {
     let n_rails = 256.min(n_flows / 4).max(1);
     let (topo, rails) = rails_topo(n_rails);
     let rss_reset = horse_core::report::reset_peak_rss();
     let mut net = FluidNetwork::new();
-    net.set_run_threads(run_threads);
     let mut rng = Rng(0xcafe_0000 | n_flows as u64 | 1);
 
     // One deferred mega-burst: every rail is an independent component,
-    // solved in one flush (sharded when run_threads > 1).
+    // solved in one flush.
     let t0 = SimTime::from_millis(1);
     let setup_start = std::time::Instant::now();
     let mut active: Vec<FlowId> = Vec::with_capacity(n_flows);
@@ -198,8 +194,7 @@ fn stats_json(s: &SolverStats) -> String {
         "{{\"solves\": {}, \"full_solves\": {}, \"flows_touched\": {}, \
          \"links_touched\": {}, \"iterations\": {}, \"work\": {}, \
          \"seed_dlinks\": {}, \"advance_touches\": {}, \"completion_visits\": {}, \
-         \"heap_pushes\": {}, \"heap_stale_pops\": {}, \"scratch_reuses\": {}, \
-         \"parallel_rounds\": {}, \"parallel_components\": {}}}",
+         \"heap_pushes\": {}, \"heap_stale_pops\": {}, \"scratch_reuses\": {}}}",
         s.solves,
         s.full_solves,
         s.flows_touched,
@@ -212,8 +207,6 @@ fn stats_json(s: &SolverStats) -> String {
         s.heap_pushes,
         s.heap_stale_pops,
         s.scratch_reuses,
-        s.parallel_rounds,
-        s.parallel_components,
     )
 }
 
@@ -242,16 +235,14 @@ fn parse_args() -> (usize, usize) {
 }
 
 fn main() {
-    let cfg = RunConfig::from_env();
     let (_churn_ops, max_flows) = parse_args();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let run_threads = cfg.run_threads();
 
     println!("== Flow scale: arena flow plane, concurrent-flow curve ==");
-    println!("run_threads={run_threads} (HORSE_RUN_THREADS), cores={cores}");
+    println!("cores={cores}");
     println!(
-        "{:>8} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9}",
-        "flows", "rails", "setup (s)", "churn (s)", "ev/s", "stale", "settles", "par", "rss MiB"
+        "{:>8} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}",
+        "flows", "rails", "setup (s)", "churn (s)", "ev/s", "stale", "settles", "rss MiB"
     );
     let points: Vec<usize> = [10_000, 25_000, 50_000, 100_000]
         .into_iter()
@@ -264,9 +255,9 @@ fn main() {
     };
     let mut rows = Vec::new();
     for n in points {
-        let row = run_curve_row(n, run_threads);
+        let row = run_curve_row(n);
         println!(
-            "{:>8} {:>6} {:>10.3} {:>10.3} {:>10.0} {:>10} {:>10} {:>8} {:>9.1}",
+            "{:>8} {:>6} {:>10.3} {:>10.3} {:>10.0} {:>10} {:>10} {:>9.1}",
             row.flows,
             row.rails,
             row.setup_wall_secs,
@@ -274,7 +265,6 @@ fn main() {
             row.churn_events as f64 / row.churn_wall_secs.max(1e-9),
             row.stats.heap_stale_pops,
             row.stats.advance_touches,
-            row.stats.parallel_rounds,
             row.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         );
         rows.push(row);
@@ -305,9 +295,6 @@ fn main() {
         );
     }
     rows_json.push(']');
-    let json = format!(
-        "{{\n  \"cores\": {cores},\n  \"run_threads\": {run_threads},\n  \
-         \"rows\": {rows_json}\n}}\n"
-    );
+    let json = format!("{{\n  \"cores\": {cores},\n  \"rows\": {rows_json}\n}}\n");
     horse_bench::write_result("flow_scale.json", &json);
 }

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 const APPROACHES: [TeApproach; 3] = [TeApproach::BgpEcmp, TeApproach::Hedera, TeApproach::SdnEcmp];
 
 fn main() {
-    let pods = horse_bench::pods_list("scaling [pods…]", &[4, 6, 8, 10, 12]);
+    let pods = horse_bench::pod_counts("scaling [pods…]", &[4, 6, 8, 10, 12]);
     let duration = 20.0;
     let seed = 42;
     let threads = threads_from_env();

@@ -5,19 +5,16 @@
 //! 1000 routers, whose leaf routers originate shares of a synthetic /24
 //! table (up to ~100k prefixes at the top point), converge through the
 //! real [`horse_core::Experiment`] readiness pump — the same code path a
-//! user's run takes, including `HORSE_RUN_THREADS` drain sharding and the
-//! per-run shared attribute/prefix pools. Each row records wall seconds,
-//! messages, RIB work counters, pool sizes, parallel-pump counters and a
-//! *per-row* peak RSS (the kernel's high-water mark is reset before each
-//! row via `/proc/self/clear_refs`; a `rss_reset` flag in the JSON says
-//! whether that worked).
+//! user's run takes, including the per-run shared attribute/prefix pools.
+//! Each row records wall seconds, messages, RIB work counters, pool sizes
+//! and a *per-row* peak RSS (the kernel's high-water mark is reset before
+//! each row via `/proc/self/clear_refs`; a `rss_reset` flag in the JSON
+//! says whether that worked).
 //!
-//! When `HORSE_RUN_THREADS` and the host's core count both exceed 1 the
-//! middle row is rerun serially and the ratio recorded as `run_speedup`.
 //! It is a record, not a gate: wall time is asserted only by
 //! `benchmark/` (DESIGN.md "Where performance is asserted"). The JSON
-//! carries honest `cores` and `run_threads` fields so the record says what
-//! it was measured on.
+//! carries an honest `cores` field so the record says what it was
+//! measured on.
 //!
 //! Run: `cargo run --release -p horse-bench --bin table_scale -- [k]
 //! [prefix_count]` (default prefix count: 100000). Writes
@@ -26,7 +23,7 @@
 //! parsed so recorded command lines keep working, and is otherwise unused.
 
 use horse_bgp::session::TimerConfig;
-use horse_core::{ControlBuild, Experiment, RunConfig};
+use horse_core::{ControlBuild, Experiment};
 use horse_net::addr::Ipv4Prefix;
 use horse_net::topology::{NodeId, Topology};
 use horse_sim::SimDuration;
@@ -74,11 +71,9 @@ struct RowResult {
     peer_ids: u64,
     peak_rss_bytes: u64,
     rss_reset: bool,
-    parallel_rounds: u64,
-    parallel_nodes: u64,
 }
 
-fn run_row(pops: usize, leaves_per_pop: usize, prefixes: usize, run_threads: usize) -> RowResult {
+fn run_row(pops: usize, leaves_per_pop: usize, prefixes: usize) -> RowResult {
     let (topo, _cores, leaves): (Topology, Vec<NodeId>, Vec<NodeId>) =
         pop_wan(pops, leaves_per_pop, 1e9);
     let mut networks_of: BTreeMap<NodeId, Vec<Ipv4Prefix>> = BTreeMap::new();
@@ -97,7 +92,6 @@ fn run_row(pops: usize, leaves_per_pop: usize, prefixes: usize, run_threads: usi
         // so the slack costs nothing.
         .horizon_secs(30.0)
         .sample_every(SimDuration::from_secs(10))
-        .run_threads(run_threads)
         .label(format!("table-scale-{pops}x{leaves_per_pop}"));
     e.control = ControlBuild::Bgp(setups);
     let report = e.run();
@@ -128,35 +122,31 @@ fn run_row(pops: usize, leaves_per_pop: usize, prefixes: usize, run_threads: usi
         peer_ids: report.mem_peer_ids,
         peak_rss_bytes: horse_core::report::peak_rss_bytes(),
         rss_reset,
-        parallel_rounds: report.pump_parallel_rounds,
-        parallel_nodes: report.pump_parallel_nodes,
     }
 }
 
 fn main() {
-    let cfg = RunConfig::from_env();
     let (_k, prefix_count) =
         horse_bench::k_then_prefixes("table_scale [k] [prefix_count]", 16, 100_000);
     let cores_avail = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!("== Table scale: PoP-WAN convergence through the real pump ==");
 
-    let run_threads = cfg.run_threads();
     let specs: [(usize, usize, usize); 3] = [
         (10, 9, prefix_count / 10),
         (10, 24, prefix_count / 4),
         (40, 24, prefix_count),
     ];
-    println!("run_threads={run_threads} (HORSE_RUN_THREADS), cores={cores_avail}");
+    println!("cores={cores_avail}");
     println!(
-        "{:>6} {:>6} {:>9} {:>10} {:>12} {:>10} {:>12} {:>10} {:>8}",
-        "nodes", "pops", "prefixes", "wall (s)", "msgs", "pool", "pool MiB", "rss MiB", "par"
+        "{:>6} {:>6} {:>9} {:>10} {:>12} {:>10} {:>12} {:>10}",
+        "nodes", "pops", "prefixes", "wall (s)", "msgs", "pool", "pool MiB", "rss MiB"
     );
     let mut rows = Vec::new();
     for (pops, leaves, prefixes) in specs {
-        let row = run_row(pops, leaves, prefixes.max(1), run_threads);
+        let row = run_row(pops, leaves, prefixes.max(1));
         println!(
-            "{:>6} {:>6} {:>9} {:>10.2} {:>12} {:>10} {:>12.1} {:>10.1} {:>8}",
+            "{:>6} {:>6} {:>9} {:>10.2} {:>12} {:>10} {:>12.1} {:>10.1}",
             row.nodes,
             row.pops,
             row.prefixes,
@@ -165,30 +155,12 @@ fn main() {
             row.pool_entries,
             row.pool_bytes_est as f64 / (1024.0 * 1024.0),
             row.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            row.parallel_rounds,
         );
         rows.push(row);
     }
     if !rows[0].rss_reset {
         println!("  note: /proc/self/clear_refs reset unavailable; rss is lifetime peak");
     }
-
-    // Parallel-pump speedup: rerun the middle row serially and compare.
-    // Only meaningful when the drain actually sharded across real cores,
-    // so the measurement needs both run_threads and cores > 1.
-    let run_speedup = if run_threads > 1 && cores_avail > 1 {
-        let (pops, leaves, prefixes) = specs[1];
-        let serial = run_row(pops, leaves, prefixes.max(1), 1);
-        let par = &rows[1];
-        let speedup = serial.wall_secs / par.wall_secs.max(1e-9);
-        println!(
-            "  parallel pump: {:.2}s serial vs {:.2}s at {run_threads} threads = {speedup:.2}x",
-            serial.wall_secs, par.wall_secs
-        );
-        Some((serial.wall_secs, par.wall_secs, speedup))
-    } else {
-        None
-    };
 
     let mut rows_json = String::from("[");
     for (i, r) in rows.iter().enumerate() {
@@ -202,8 +174,7 @@ fn main() {
              \"candidate_touches\": {}, \"attr_interns\": {}, \"attr_reuses\": {}, \
              \"attr_pool_entries\": {}, \"attr_pool_bytes_est\": {}, \
              \"prefix_ids\": {}, \"peer_ids\": {}, \"mem_peak_rss_bytes\": {}, \
-             \"rss_reset\": {}, \"pump_parallel_rounds\": {}, \
-             \"pump_parallel_nodes\": {}}}",
+             \"rss_reset\": {}}}",
             r.nodes,
             r.pops,
             r.leaves,
@@ -220,22 +191,10 @@ fn main() {
             r.peer_ids,
             r.peak_rss_bytes,
             r.rss_reset,
-            r.parallel_rounds,
-            r.parallel_nodes,
         );
     }
     rows_json.push(']');
 
-    let speedup_json = match run_speedup {
-        Some((serial, par, ratio)) => format!(
-            "{{\"serial_wall_secs\": {serial}, \"parallel_wall_secs\": {par}, \
-             \"speedup\": {ratio}}}"
-        ),
-        None => "null".into(),
-    };
-    let json = format!(
-        "{{\n  \"cores\": {cores_avail},\n  \"run_threads\": {run_threads},\n  \
-         \"run_speedup\": {speedup_json},\n  \"rows\": {rows_json}\n}}\n"
-    );
+    let json = format!("{{\n  \"cores\": {cores_avail},\n  \"rows\": {rows_json}\n}}\n");
     horse_bench::write_result("table_scale.json", &json);
 }

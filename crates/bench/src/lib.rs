@@ -115,7 +115,7 @@ pub fn try_duration_then_pods(
 }
 
 /// Parses `[pods…]` — zero or more pod counts (`scaling`).
-pub fn try_pods_list(
+pub fn try_pod_counts(
     args: impl Iterator<Item = String>,
     default_pods: &[usize],
 ) -> Result<Vec<usize>, String> {
@@ -196,9 +196,9 @@ pub fn duration_then_pods(
         .unwrap_or_else(|e| usage_exit(usage, &e))
 }
 
-/// [`try_pods_list`] over the real argv; exits 2 on failure.
-pub fn pods_list(usage: &str, default_pods: &[usize]) -> Vec<usize> {
-    try_pods_list(std::env::args().skip(1), default_pods).unwrap_or_else(|e| usage_exit(usage, &e))
+/// [`try_pod_counts`] over the real argv; exits 2 on failure.
+pub fn pod_counts(usage: &str, default_pods: &[usize]) -> Vec<usize> {
+    try_pod_counts(std::env::args().skip(1), default_pods).unwrap_or_else(|e| usage_exit(usage, &e))
 }
 
 /// [`try_k_then_prefixes`] over the real argv; exits 2 on failure.
@@ -260,9 +260,9 @@ mod tests {
         assert!(e.contains("invalid duration \"fast\""), "{e}");
         let e = try_duration_then_pods(argv(&["-1"]), 60.0, &[4]).unwrap_err();
         assert!(e.contains("must be > 0"), "{e}");
-        let e = try_pods_list(argv(&["4", "nope"]), &[4]).unwrap_err();
+        let e = try_pod_counts(argv(&["4", "nope"]), &[4]).unwrap_err();
         assert!(e.contains("invalid pod count \"nope\""), "{e}");
-        let e = try_pods_list(argv(&["7"]), &[4]).unwrap_err();
+        let e = try_pod_counts(argv(&["7"]), &[4]).unwrap_err();
         assert!(e.contains("even k"), "{e}");
         let e = try_k_then_prefixes(argv(&["8", "lots"]), 8, 1000).unwrap_err();
         assert!(e.contains("invalid prefix count \"lots\""), "{e}");
@@ -285,9 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn pods_list_parses() {
-        assert_eq!(try_pods_list(argv(&[]), &[4, 8]), Ok(vec![4, 8]));
-        assert_eq!(try_pods_list(argv(&["12"]), &[4, 8]), Ok(vec![12]));
+    fn pod_counts_parse() {
+        assert_eq!(try_pod_counts(argv(&[]), &[4, 8]), Ok(vec![4, 8]));
+        assert_eq!(try_pod_counts(argv(&["12"]), &[4, 8]), Ok(vec![12]));
     }
 
     #[test]

@@ -292,7 +292,8 @@ impl AttrStore {
     }
 
     /// Indexes a block that decoded to `attr`, unless an equal one is
-    /// already indexed (another worker may have won the race).
+    /// already indexed (another holder of the pool may have indexed it
+    /// between the read-locked probe and this write).
     fn insert_wire(&mut self, hash: u64, block: &[u8], at: usize, attr: AttrId) {
         if self.find_wire(hash, block, at).is_some() {
             return;
@@ -385,14 +386,14 @@ impl AttrStore {
 /// Interning is **lock-light**: attribute churn is read-mostly (each
 /// exported set reaches every neighbour of its sender), so
 /// [`AttrPool::intern`] and `AttrPool::resolve_wire` first probe under
-/// the read lock and only escalate to the write lock on a genuine miss. Under the intra-run
-/// parallel pump, concurrent double-misses are resolved by the store's
-/// re-check inside the write lock — one id per value, always. Id *values*
-/// may then depend on worker interleaving, which is safe precisely
-/// because nothing semantic reads them: ranking uses precomputed metas,
-/// wire bytes carry the attributes themselves, announce batching groups
-/// by id equality in value-sorted prefix order, and intern/reuse totals
-/// count the same events whichever worker wins the race.
+/// the read lock and only escalate to the write lock on a genuine miss,
+/// where the store re-checks before inserting — one id per value, always.
+/// The lock is what makes the handle `Sync`, so a speaker stays `Send`
+/// for threaded emulation. The CM pump drains a run's speakers one at a
+/// time in `NodeId` order, so id values are a function of the run; even
+/// so, nothing semantic reads them: ranking uses precomputed metas, wire
+/// bytes carry the attributes themselves, and announce batching groups by
+/// id equality in value-sorted prefix order.
 #[derive(Debug, Clone, Default)]
 pub struct AttrPool(Arc<RwLock<AttrStore>>);
 
@@ -427,7 +428,7 @@ impl AttrPool {
     }
 
     /// One hash serves the read-locked probe, the re-probe under the write
-    /// lock (another worker may have won the race) and the insert.
+    /// lock and the insert.
     fn intern_src(&self, src: AttrSrc<'_>) -> (AttrId, bool) {
         let hash = fast_hash(&canon_key(src.get()));
         if let Some(id) = self.read().find(hash, src.get()) {
@@ -1024,9 +1025,9 @@ impl LocRib {
     }
 
     /// A RIB sharing both per-run pools — attribute sets *and* the prefix
-    /// id space — with other speakers. This is the shape the parallel pump
-    /// runs: the pools are lock-light and the id tables fleet-global, so a
-    /// prefix announced everywhere costs one intern, not one per speaker.
+    /// id space — with other speakers. This is the shape the CM pump runs:
+    /// the id tables are fleet-global, so a prefix announced everywhere
+    /// costs one intern, not one per speaker.
     pub fn new_shared_pools(
         local_as: u16,
         multipath: bool,

@@ -293,10 +293,8 @@ impl BgpSpeaker {
     }
 
     /// Builds a speaker sharing both per-run pools — attribute sets and
-    /// the prefix id space — with the rest of the fleet. The shape the
-    /// parallel pump drains: pools are lock-light, and the speaker itself
-    /// holds no shared mutable state, so distinct speakers can be pumped
-    /// from distinct workers (see the `Send` assertion below).
+    /// the prefix id space — with the rest of the fleet: the shape the CM
+    /// pump drains.
     pub fn new_with_pools(
         config: BgpConfig,
         pool: crate::rib::AttrPool,
@@ -1123,10 +1121,10 @@ fn export_classes(maps: &[Option<Arc<RouteMap>>]) -> Vec<usize> {
         .collect()
 }
 
-/// The parallel pump hands disjoint `&mut BgpSpeaker`s to worker threads
-/// at each round barrier, which requires `BgpSpeaker: Send`. This fails to
-/// compile — not at runtime — if a non-`Send` handle (an `Rc`, a raw
-/// pointer) ever sneaks into the speaker, its RIB, or its tracer.
+/// Threaded emulation moves each speaker into its own daemon thread,
+/// which requires `BgpSpeaker: Send`. This fails to compile — not at
+/// runtime — if a non-`Send` handle (an `Rc`, a raw pointer) ever sneaks
+/// into the speaker, its RIB, or its tracer.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<BgpSpeaker>();

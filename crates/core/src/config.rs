@@ -9,7 +9,6 @@
 //! | Variable | Field | Meaning |
 //! |---|---|---|
 //! | `HORSE_THREADS` | [`RunConfig::threads`] | Sweep worker count (1 = serial path) |
-//! | `HORSE_RUN_THREADS` | [`RunConfig::run_threads`] | Intra-run pump worker count (default 1 = serial pump) |
 //! | `HORSE_RESULTS_DIR` | [`RunConfig::results_dir`] | Bench output directory |
 //! | `HORSE_TRACE` | [`RunConfig::trace`]`.enabled` | Enable structured tracing |
 //! | `HORSE_TRACE_CAPACITY` | [`RunConfig::trace`]`.capacity` | Per-component ring capacity |
@@ -29,12 +28,6 @@ pub struct RunConfig {
     /// Sweep worker count; `None` means "use available parallelism".
     /// `Some(1)` forces the pool's inline serial path.
     pub threads: Option<usize>,
-    /// Intra-run pump worker count; `None` means 1 (serial pump). Unlike
-    /// sweep [`RunConfig::threads`], parallelism inside a single run is
-    /// opt-in: the default must not oversubscribe cores when runs already
-    /// execute in parallel under a sweep, and the serial pump is the
-    /// baseline every parallel result is byte-compared against.
-    pub run_threads: Option<usize>,
     /// Where bench harnesses drop machine-readable outputs.
     pub results_dir: PathBuf,
     /// Structured-tracing options for traced runs.
@@ -58,7 +51,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             threads: None,
-            run_threads: None,
             results_dir: PathBuf::from("bench_results"),
             trace: TraceOptions::default(),
             checkpoint_dir: None,
@@ -143,7 +135,6 @@ impl RunConfig {
         }
         Ok(RunConfig {
             threads: integer("HORSE_THREADS", 1, "a positive integer")?,
-            run_threads: integer("HORSE_RUN_THREADS", 1, "a positive integer")?,
             results_dir: get("HORSE_RESULTS_DIR")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| PathBuf::from("bench_results")),
@@ -162,13 +153,6 @@ impl RunConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-    }
-
-    /// The intra-run pump worker count: the configured override, else 1
-    /// (serial pump — see [`RunConfig::run_threads`] for why the default
-    /// differs from sweep [`RunConfig::threads`]).
-    pub fn run_threads(&self) -> usize {
-        self.run_threads.unwrap_or(1)
     }
 }
 
@@ -197,7 +181,6 @@ mod tests {
     fn all_keys_parse() {
         let cfg = RunConfig::from_lookup(lookup(&[
             ("HORSE_THREADS", "4"),
-            ("HORSE_RUN_THREADS", "2"),
             ("HORSE_RESULTS_DIR", "/tmp/out"),
             ("HORSE_TRACE", "1"),
             ("HORSE_TRACE_CAPACITY", "1024"),
@@ -208,8 +191,6 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.threads, Some(4));
         assert_eq!(cfg.threads(), 4);
-        assert_eq!(cfg.run_threads, Some(2));
-        assert_eq!(cfg.run_threads(), 2);
         assert_eq!(cfg.results_dir, PathBuf::from("/tmp/out"));
         assert!(cfg.trace.enabled);
         assert_eq!(cfg.trace.capacity, 1024);
@@ -233,13 +214,6 @@ mod tests {
         assert_eq!(cfg.trace.capacity, 64);
     }
 
-    #[test]
-    fn run_threads_defaults_to_serial_pump() {
-        let cfg = RunConfig::from_lookup(|_| None).unwrap();
-        assert_eq!(cfg.run_threads, None);
-        assert_eq!(cfg.run_threads(), 1, "intra-run parallelism is opt-in");
-    }
-
     /// Every key that parses (the two directory keys take any string)
     /// rejects a bad value with an error naming the key, the value as
     /// given and what was expected — never a panic.
@@ -248,8 +222,6 @@ mod tests {
         let cases = [
             ("HORSE_THREADS", "zero", "a positive integer"),
             ("HORSE_THREADS", "0", "a positive integer"),
-            ("HORSE_RUN_THREADS", "many", "a positive integer"),
-            ("HORSE_RUN_THREADS", "0", "a positive integer"),
             ("HORSE_TRACE", "loud", "0/1/true/false"),
             ("HORSE_TRACE_CAPACITY", "x", "a positive integer"),
             ("HORSE_TRACE_CAPACITY", "0", "a positive integer"),

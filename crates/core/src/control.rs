@@ -29,20 +29,6 @@
 //! mode whose observable semantics are identical (same deliveries, same
 //! sweep instants, same outputs) and whose only difference is cost, which
 //! [`PumpStats`] makes visible.
-//!
-//! ## Deterministic intra-run parallelism
-//!
-//! With `HORSE_RUN_THREADS > 1` the BGP pump shards each round's ready
-//! set across the work-stealing pool. The round splits into three phases:
-//! a serial prologue (build the ready set, route deliveries, advance the
-//! wheel, record pump-reason trace events), a parallel **drain** (each
-//! worker delivers/polls/drains a disjoint subset of ready speakers and
-//! returns a per-node result tuple), and a serial **merge** that applies
-//! those tuples in ascending [`NodeId`] order — exactly the order the
-//! serial drain uses. Workers never touch CM state; speakers are disjoint
-//! `&mut`s whose only shared state is the lock-light per-run pools, whose
-//! id values are proven non-semantic. Outputs therefore queue, install,
-//! and trace byte-identically at any worker count.
 
 use horse_bgp::rib::{AttrPool, RibStats};
 use horse_bgp::speaker::{BgpSpeaker, SpeakerOutput};
@@ -57,23 +43,16 @@ use horse_net::topology::{NodeId, PortId, Topology};
 use horse_openflow::agent::{AgentEvent, SwitchAgent};
 use horse_openflow::controller::{Controller, ControllerApp, ControllerEvent};
 use horse_openflow::wire::{FlowMod, FlowModCommand, FlowStatsEntry, OfAction, PortDesc};
-use horse_pool::{lock_unpoisoned, run_indexed};
 use horse_sim::{SimTime, TimerWheel};
 use horse_topo::fattree::BgpNodeSetup;
 use horse_trace::{Component, ComponentLog, PumpReason, TraceData, TraceOptions, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// MTU used to derive packet estimates from fluid byte counts (the fluid
 /// model moves bits, not packets; OF counters want both).
 const MTU_BYTES: u64 = 1_500;
-
-/// Minimum ready-set size before the pump shards a round across workers;
-/// below this the scoped-spawn and steal overhead outweighs the per-node
-/// protocol work and the round runs serially (still byte-identical).
-const PAR_MIN_NODES: usize = 4;
 
 /// What one pump step did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,12 +86,6 @@ pub struct PumpStats {
     pub nodes_touched: u64,
     /// Full flow-table walks (timeout checks and expiry sweeps).
     pub table_scans: u64,
-    /// Rounds whose drain ran on the work-stealing pool (0 when
-    /// `HORSE_RUN_THREADS` is 1 or every round stayed under the sharding
-    /// threshold).
-    pub parallel_rounds: u64,
-    /// Nodes drained inside parallel rounds (a subset of `nodes_touched`).
-    pub parallel_nodes: u64,
 }
 
 impl PumpStats {
@@ -172,15 +145,6 @@ impl ControlPlane {
             ControlPlane::None => {}
             ControlPlane::Bgp(b) => b.mode = mode,
             ControlPlane::Sdn(s) => s.mode = mode,
-        }
-    }
-
-    /// Sets the intra-run drain worker count (1 = serial pump). Only the
-    /// BGP pump shards; the SDN pump's controller round-trips are serial
-    /// by construction and ignore this.
-    pub fn set_run_threads(&mut self, threads: usize) {
-        if let ControlPlane::Bgp(b) = self {
-            b.run_threads = threads.max(1);
         }
     }
 
@@ -409,8 +373,6 @@ pub struct BgpControl {
     /// interned once per run (not once per speaker), and round-time
     /// lookups are read-lock hits with ids fixed at seed time.
     prefix_pool: PrefixPool,
-    /// Intra-run drain workers (1 = serial pump, the default).
-    run_threads: usize,
 }
 
 /// One ready speaker's drained round result: its outputs in emission
@@ -418,13 +380,8 @@ pub struct BgpControl {
 /// = no deadline left).
 type DrainedNode = (NodeId, Vec<SpeakerOutput>, Option<Option<SimTime>>);
 
-/// A claimed drain task: one ready speaker and its pending deliveries.
-type DrainTask<'a> = (NodeId, &'a mut BgpSpeaker, Vec<(Ipv4Addr, bytes::Bytes)>);
-
-/// Delivers, polls and drains one ready speaker — the per-node work both
-/// drain paths share. Under the parallel pump this runs on a worker
-/// thread, so it must not touch CM state: everything the merge needs
-/// comes back in the [`DrainedNode`] tuple.
+/// Delivers, polls and drains one ready speaker: step 2 of
+/// [`BgpControl::pump`] for one node.
 fn drain_one(
     node: NodeId,
     s: &mut BgpSpeaker,
@@ -451,11 +408,11 @@ impl BgpControl {
         let mut connected = Vec::new();
         let attr_pool = AttrPool::new();
         let prefix_pool = PrefixPool::new();
-        // Seed the shared prefix table serially, in deterministic node
-        // order, before any speaker (or drain worker) exists. Every prefix
-        // a run can announce comes from some node's configured networks,
-        // so round-time interns are read-lock hits on ids fixed here —
-        // identical at any worker count.
+        // Seed the shared prefix table in deterministic node order before
+        // any speaker exists. Every prefix a run can announce comes from
+        // some node's configured networks, so round-time interns are
+        // read-lock hits on ids fixed here, and every id is a function of
+        // the run's setups alone.
         for setup in setups.values() {
             for pfx in &setup.config.networks {
                 prefix_pool.intern(*pfx);
@@ -503,7 +460,6 @@ impl BgpControl {
             tracer: Tracer::default(),
             attr_pool,
             prefix_pool,
-            run_threads: 1,
         }
     }
 
@@ -639,58 +595,25 @@ impl BgpControl {
         // cannot hold queued outputs or a moved deadline: both only change
         // when the speaker is touched, and every touch marks it ready.
         //
-        // Serially, each node is merged as soon as it is drained, so one
-        // node's outputs are alive at a time — not every ready node's at
-        // once. A drain reads none of what a merge writes (this step's
-        // deliveries were taken above), so this order gives the same bytes
-        // as draining everything first.
-        //
-        // With workers configured and enough ready nodes to amortize the
-        // scoped spawn, the drain shards across the work-stealing pool:
-        // speakers are disjoint `&mut`s whose only shared state is the
-        // lock-light per-run pools, and workers never touch CM state —
-        // they only produce per-node result tuples, collected in ascending
-        // `NodeId` order and merged after the scoped drain, so the result
-        // is byte-identical at any worker count.
-        if self.run_threads > 1 && ready.len() >= PAR_MIN_NODES {
-            // O(speakers) pointer walk to gather disjoint `&mut`s in
-            // ascending node order — cheap next to the protocol work, and
-            // it needs no unsafe splitting of the map.
-            let slots: Vec<Mutex<Option<DrainTask<'_>>>> = self
-                .speakers
-                .iter_mut()
-                .filter(|(node, _)| ready.contains(node))
-                .map(|(node, s)| {
-                    Mutex::new(Some((*node, s, by_dst.remove(node).unwrap_or_default())))
-                })
-                .collect();
-            let (results, _) = run_indexed(slots.len(), self.run_threads, |i| {
-                let (node, s, msgs) = lock_unpoisoned(&slots[i])
-                    .take()
-                    .expect("each drain slot is claimed exactly once");
-                drain_one(node, s, msgs, now)
-            });
-            self.stats.parallel_rounds += 1;
-            self.stats.parallel_nodes += results.len() as u64;
-            for r in results {
-                self.merge_drained(dp, r.value, &mut out);
-            }
-        } else {
-            for node in &ready {
-                let Some(s) = self.speakers.get_mut(node) else {
-                    continue;
-                };
-                let msgs = by_dst.remove(node).unwrap_or_default();
-                let drained = drain_one(*node, s, msgs, now);
-                self.merge_drained(dp, drained, &mut out);
-            }
+        // Each node is merged as soon as it is drained, so one node's
+        // outputs are alive at a time — not every ready node's at once. A
+        // drain reads none of what a merge writes (this step's deliveries
+        // were taken above), so this order gives the same bytes as
+        // draining everything first.
+        for node in &ready {
+            let Some(s) = self.speakers.get_mut(node) else {
+                continue;
+            };
+            let msgs = by_dst.remove(node).unwrap_or_default();
+            let drained = drain_one(*node, s, msgs, now);
+            self.merge_drained(dp, drained, &mut out);
         }
         out
     }
 
-    /// Step 3 of [`BgpControl::pump`] for one drained node, on the pump's
-    /// thread: re-register its deadline, queue its bytes for next step and
-    /// apply its route changes now.
+    /// Step 3 of [`BgpControl::pump`] for one drained node: re-register its
+    /// deadline, queue its bytes for next step and apply its route changes
+    /// now.
     fn merge_drained(&mut self, dp: &mut DataPlane, drained: DrainedNode, out: &mut PumpOutcome) {
         let (node, outputs, deadline) = drained;
         self.stats.nodes_touched += 1;

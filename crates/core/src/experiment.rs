@@ -118,9 +118,9 @@ pub struct Experiment {
     /// Pump scheduling mode (readiness-driven by default; `FullPoll` is
     /// the legacy cost model for differential tests and benches).
     pub pump_mode: PumpMode,
-    /// Intra-run drain workers for the BGP pump (1 = serial, the
-    /// default; `HORSE_RUN_THREADS`). Any value produces byte-identical
-    /// reports and traces — this knob only buys wall-clock.
+    /// Ignored: every run drains its speakers and solves its fluid
+    /// components on the calling thread. Kept only because the benchmark
+    /// reads it; ROADMAP item 1c deletes it.
     pub run_threads: usize,
     /// Structured-tracing options (disabled by default; enabling records
     /// span events across runner, pump, BGP speakers and the controller).
@@ -317,12 +317,6 @@ impl Experiment {
         self
     }
 
-    /// Sets the intra-run drain worker count (1 = serial pump).
-    pub fn run_threads(mut self, threads: usize) -> Experiment {
-        self.run_threads = threads.max(1);
-        self
-    }
-
     /// Sets the structured-tracing options (see [`horse_trace`]).
     pub fn trace(mut self, opts: TraceOptions) -> Experiment {
         self.trace = opts;
@@ -385,7 +379,6 @@ impl Experiment {
             self.sample_interval,
             self.label,
         );
-        runner.set_run_threads(self.run_threads);
         runner.set_trace(&self.trace);
         let report = runner.run(wall_setup_secs);
         (report, runner.take_trace())

@@ -103,30 +103,18 @@ pub struct ExperimentReport {
     pub pump_nodes_touched: u64,
     /// Full flow-table walks (timeout checks + expiry sweeps).
     pub pump_table_scans: u64,
-    /// Intra-run drain workers the pump was configured with (1 = serial;
-    /// `HORSE_RUN_THREADS`). A cost/config field: runs at different
-    /// worker counts must still be semantically identical.
-    pub pump_run_threads: u64,
-    /// Pump rounds whose drain ran on the work-stealing pool.
-    pub pump_parallel_rounds: u64,
-    /// Nodes drained inside parallel rounds.
-    pub pump_parallel_nodes: u64,
     /// Fluid-solver invocations (scoped + full).
     pub fluid_solves: u64,
     /// Directed links seeding scoped solves (dirty-set size).
     pub fluid_seed_dlinks: u64,
     /// Flows visited by component closures across all solves.
     pub fluid_flows_touched: u64,
-    /// Waterfill scratch buffers reused warm from the pool.
+    /// Component solves served by the already-warm waterfill scratch.
     pub fluid_scratch_reuses: u64,
     /// Completion predictions pushed onto the finish-time heap.
     pub fluid_heap_pushes: u64,
     /// Stale heap entries popped and dropped (lazy invalidation).
     pub fluid_heap_stale_pops: u64,
-    /// Scoped solves whose components were sharded on the pool.
-    pub fluid_parallel_rounds: u64,
-    /// Components solved inside parallel rounds.
-    pub fluid_parallel_components: u64,
     /// BGP decision-process invocations (all speakers).
     pub rib_decide_calls: u64,
     /// Decision calls answered from the per-prefix memo cache.
@@ -313,17 +301,6 @@ impl ExperimentReport {
             self.pump_nodes_touched
         );
         let _ = writeln!(out, "  \"pump_table_scans\": {},", self.pump_table_scans);
-        let _ = writeln!(out, "  \"pump_run_threads\": {},", self.pump_run_threads);
-        let _ = writeln!(
-            out,
-            "  \"pump_parallel_rounds\": {},",
-            self.pump_parallel_rounds
-        );
-        let _ = writeln!(
-            out,
-            "  \"pump_parallel_nodes\": {},",
-            self.pump_parallel_nodes
-        );
         let _ = writeln!(out, "  \"fluid_solves\": {},", self.fluid_solves);
         let _ = writeln!(out, "  \"fluid_seed_dlinks\": {},", self.fluid_seed_dlinks);
         let _ = writeln!(
@@ -341,16 +318,6 @@ impl ExperimentReport {
             out,
             "  \"fluid_heap_stale_pops\": {},",
             self.fluid_heap_stale_pops
-        );
-        let _ = writeln!(
-            out,
-            "  \"fluid_parallel_rounds\": {},",
-            self.fluid_parallel_rounds
-        );
-        let _ = writeln!(
-            out,
-            "  \"fluid_parallel_components\": {},",
-            self.fluid_parallel_components
         );
         let _ = writeln!(out, "  \"rib_decide_calls\": {},", self.rib_decide_calls);
         let _ = writeln!(
@@ -418,23 +385,18 @@ impl ExperimentReport {
     /// a counter to the struct without adding it here would leak it into
     /// semantic comparisons, so the unit test below checks every
     /// `pump_`/`rib_`/`mem_`/`trace_`-prefixed JSON key comes out zero.
-    fn cost_counters_mut(&mut self) -> [&mut u64; 33] {
+    fn cost_counters_mut(&mut self) -> [&mut u64; 28] {
         [
             &mut self.pump_steps,
             &mut self.pump_nodes_total,
             &mut self.pump_nodes_touched,
             &mut self.pump_table_scans,
-            &mut self.pump_run_threads,
-            &mut self.pump_parallel_rounds,
-            &mut self.pump_parallel_nodes,
             &mut self.fluid_solves,
             &mut self.fluid_seed_dlinks,
             &mut self.fluid_flows_touched,
             &mut self.fluid_scratch_reuses,
             &mut self.fluid_heap_pushes,
             &mut self.fluid_heap_stale_pops,
-            &mut self.fluid_parallel_rounds,
-            &mut self.fluid_parallel_components,
             &mut self.rib_decide_calls,
             &mut self.rib_decide_cache_hits,
             &mut self.rib_invalidations,
@@ -558,10 +520,6 @@ impl ExperimentReport {
             pump_nodes_total: opt_num("pump_nodes_total"),
             pump_nodes_touched: opt_num("pump_nodes_touched"),
             pump_table_scans: opt_num("pump_table_scans"),
-            // Absent in pre-parallel-pump dumps: default to 0.
-            pump_run_threads: opt_num("pump_run_threads"),
-            pump_parallel_rounds: opt_num("pump_parallel_rounds"),
-            pump_parallel_nodes: opt_num("pump_parallel_nodes"),
             // Absent in pre-flow-arena dumps: default to 0.
             fluid_solves: opt_num("fluid_solves"),
             fluid_seed_dlinks: opt_num("fluid_seed_dlinks"),
@@ -569,8 +527,6 @@ impl ExperimentReport {
             fluid_scratch_reuses: opt_num("fluid_scratch_reuses"),
             fluid_heap_pushes: opt_num("fluid_heap_pushes"),
             fluid_heap_stale_pops: opt_num("fluid_heap_stale_pops"),
-            fluid_parallel_rounds: opt_num("fluid_parallel_rounds"),
-            fluid_parallel_components: opt_num("fluid_parallel_components"),
             // Absent in pre-rib-stats dumps: default to 0.
             rib_decide_calls: opt_num("rib_decide_calls"),
             rib_decide_cache_hits: opt_num("rib_decide_cache_hits"),
@@ -628,17 +584,12 @@ mod tests {
             pump_nodes_total: 2,
             pump_nodes_touched: 3,
             pump_table_scans: 4,
-            pump_run_threads: 23,
-            pump_parallel_rounds: 24,
-            pump_parallel_nodes: 25,
             fluid_solves: 26,
             fluid_seed_dlinks: 27,
             fluid_flows_touched: 28,
             fluid_scratch_reuses: 29,
             fluid_heap_pushes: 30,
             fluid_heap_stale_pops: 31,
-            fluid_parallel_rounds: 32,
-            fluid_parallel_components: 33,
             rib_decide_calls: 5,
             rib_decide_cache_hits: 6,
             rib_invalidations: 7,
@@ -687,9 +638,9 @@ mod tests {
                 "cost key {key:?} not zeroed in semantic_json"
             );
         }
-        // 33 counters + 2 wall times; a miscount here means a counter was
+        // 28 counters + 2 wall times; a miscount here means a counter was
         // added to the struct but not to `cost_counters_mut`.
-        assert_eq!(checked, 35, "unexpected number of cost keys");
+        assert_eq!(checked, 30, "unexpected number of cost keys");
     }
 
     #[test]
@@ -701,5 +652,19 @@ mod tests {
         let legacy = sample_report().semantic_json();
         let parsed = ExperimentReport::from_json(&legacy).expect("parse");
         assert_eq!(parsed.trace, TraceSummary::default());
+    }
+
+    /// Dumps written before a counter was removed still parse; the key
+    /// is ignored.
+    #[test]
+    fn from_json_ignores_keys_of_removed_counters() {
+        let r = sample_report();
+        let old = r.to_json().replace(
+            "  \"pump_steps\"",
+            "  \"pump_retired_counter\": 2,\n  \"pump_steps\"",
+        );
+        assert_ne!(old, r.to_json());
+        let parsed = ExperimentReport::from_json(&old).expect("parse");
+        assert_eq!(parsed.to_json(), r.to_json());
     }
 }

@@ -88,9 +88,6 @@ pub struct Runner {
     horizon: SimTime,
     sample_interval: SimDuration,
     label: String,
-    /// Intra-run drain workers configured for the pump (1 = serial);
-    /// echoed into the report's `pump_run_threads`.
-    run_threads: usize,
 
     /// Traffic indices waiting for a route / rules, ascending: the
     /// reactions to a table change walk the waiting flows, not the
@@ -166,7 +163,6 @@ impl Runner {
             horizon,
             sample_interval,
             label,
-            run_threads: 1,
             pending: BTreeSet::new(),
             miss_sent: vec![Vec::new(); n],
             stale: BTreeSet::new(),
@@ -234,13 +230,10 @@ impl Runner {
         self.control.set_pump_mode(mode);
     }
 
-    /// Sets the intra-run drain worker count (call before [`Runner::run`];
-    /// 1 = serial pump, the default).
-    pub fn set_run_threads(&mut self, threads: usize) {
-        self.run_threads = threads.max(1);
-        self.control.set_run_threads(threads);
-        self.fluid.set_run_threads(threads);
-    }
+    /// Does nothing: every run drains its speakers and solves its fluid
+    /// components on the calling thread. Kept only because the benchmark
+    /// calls it; ROADMAP item 1c deletes it.
+    pub fn set_run_threads(&mut self, _threads: usize) {}
 
     // ---- dense flow-bookkeeping slabs --------------------------------
 
@@ -720,17 +713,12 @@ impl Runner {
             pump_nodes_total: pump.nodes_total,
             pump_nodes_touched: pump.nodes_touched,
             pump_table_scans: pump.table_scans,
-            pump_run_threads: self.run_threads as u64,
-            pump_parallel_rounds: pump.parallel_rounds,
-            pump_parallel_nodes: pump.parallel_nodes,
             fluid_solves: fluid.solves,
             fluid_seed_dlinks: fluid.seed_dlinks,
             fluid_flows_touched: fluid.flows_touched,
             fluid_scratch_reuses: fluid.scratch_reuses,
             fluid_heap_pushes: fluid.heap_pushes,
             fluid_heap_stale_pops: fluid.heap_stale_pops,
-            fluid_parallel_rounds: fluid.parallel_rounds,
-            fluid_parallel_components: fluid.parallel_components,
             rib_decide_calls: rib.decide_calls,
             rib_decide_cache_hits: rib.decide_cache_hits,
             rib_invalidations: rib.invalidations,

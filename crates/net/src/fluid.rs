@@ -37,11 +37,6 @@
 //! [`FluidNetwork::recompute_scoped`] partitions its seeds into
 //! link-disjoint components and water-fills each component independently
 //! with reusable dense-id scratch (allocation-free in steady state).
-//! Components are independent subproblems, so with `run_threads > 1` they
-//! are sharded across `horse-pool` workers and merged in seed order; the
-//! per-component arithmetic is identical on the serial and parallel paths,
-//! making the allocation bitwise invariant to the thread count (the same
-//! contract the PR 8 pump shards follow).
 //!
 //! The pre-refactor solver is preserved verbatim in
 //! [`crate::fluid_naive::NaiveFluidNetwork`] as the differential oracle.
@@ -52,13 +47,8 @@ use crate::topology::{LinkId, NodeId, Topology};
 use horse_sim::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
-use std::sync::Mutex;
 
 const EPS: f64 = 1e-6;
-
-/// Below this many affected flows a parallel component round is not worth
-/// the fork/join; solve serially even when threads are available.
-const PAR_MIN_FLOWS: usize = 8;
 
 /// A directed traversal of a link: `forward` means a→b.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -175,10 +165,6 @@ pub struct SolverStats {
     /// Component solves served by an already-warm scratch buffer (no
     /// allocation).
     pub scratch_reuses: u64,
-    /// Scoped solves whose components were sharded across the pool.
-    pub parallel_rounds: u64,
-    /// Components solved inside parallel rounds.
-    pub parallel_components: u64,
 }
 
 /// Reusable component-closure scratch: cleared, never dropped, so the
@@ -230,25 +216,6 @@ struct WaterfillScratch {
     unfrozen: Vec<u32>,
 }
 
-/// Per-component effort, merged into [`SolverStats`] after the (possibly
-/// parallel) solve round.
-#[derive(Debug, Default, Clone, Copy)]
-struct CompStats {
-    links: u64,
-    iterations: u64,
-    work: u64,
-    reused: u64,
-}
-
-impl CompStats {
-    fn merge(&mut self, o: CompStats) {
-        self.links += o.links;
-        self.iterations += o.iterations;
-        self.work += o.work;
-        self.reused += o.reused;
-    }
-}
-
 /// The set of active fluid flows and their current allocation.
 #[derive(Debug, Default)]
 pub struct FluidNetwork {
@@ -288,29 +255,14 @@ pub struct FluidNetwork {
     /// constrained links (granted rates), reported at the next flush.
     pending_changes: Vec<RateChange>,
     closure: ClosureScratch,
-    /// Pool of waterfill scratch buffers; the mutex only matters on the
-    /// parallel component path (workers pop/push; buffers are fully
-    /// re-initialized per component, so assignment order is free).
-    wf_pool: Mutex<Vec<WaterfillScratch>>,
-    /// Worker budget for parallel component rounds (1 = serial).
-    run_threads: usize,
+    waterfill: WaterfillScratch,
     stats: SolverStats,
 }
 
 impl FluidNetwork {
     /// An empty fluid network.
     pub fn new() -> FluidNetwork {
-        FluidNetwork {
-            run_threads: 1,
-            ..FluidNetwork::default()
-        }
-    }
-
-    /// Sets the worker budget for parallel component solves (1 = serial,
-    /// the default). Any value yields bitwise-identical allocations; this
-    /// only trades wall time.
-    pub fn set_run_threads(&mut self, threads: usize) {
-        self.run_threads = threads.max(1);
+        FluidNetwork::default()
     }
 
     /// Number of active flows.
@@ -1018,11 +970,6 @@ impl FluidNetwork {
     /// components keep their rates — max–min fair allocations decompose
     /// across link-disjoint components, so the result matches a full
     /// solve restricted to the affected flows.
-    ///
-    /// With `run_threads > 1` and at least two components, components are
-    /// sharded across the `horse-pool` workers and merged in seed order.
-    /// The per-component arithmetic is identical on both paths, so the
-    /// allocation is bitwise invariant to the thread count.
     fn recompute_scoped(&mut self, topo: &Topology, seeds: &[DirLink]) -> Vec<RateChange> {
         self.stats.solves += 1;
         self.stats.seed_dlinks += seeds.len() as u64;
@@ -1065,71 +1012,16 @@ impl FluidNetwork {
         }
         self.stats.flows_touched += cl.flows_flat.len() as u64;
 
-        let ncomps = cl.comp_ends.len();
-        if ncomps == 0 {
+        if cl.comp_ends.is_empty() {
             self.closure = cl;
             return Vec::new();
         }
 
-        // Solve each component. The parallel path is worth a fork/join
-        // only for genuinely independent work of some size.
-        let engage = self.run_threads > 1 && ncomps >= 2 && cl.flows_flat.len() >= PAR_MIN_FLOWS;
-        let mut agg = CompStats::default();
-        if engage {
-            self.stats.parallel_rounds += 1;
-            self.stats.parallel_components += ncomps as u64;
-            let this: &FluidNetwork = &*self;
-            let cl_ref = &cl;
-            let (results, _) =
-                horse_pool::run_indexed(ncomps, this.run_threads.min(ncomps), |ci| {
-                    let start = if ci == 0 { 0 } else { cl_ref.comp_ends[ci - 1] };
-                    let end = cl_ref.comp_ends[ci];
-                    let mut ws = this
-                        .wf_pool
-                        .lock()
-                        .expect("scratch pool poisoned")
-                        .pop()
-                        .unwrap_or_default();
-                    let mut out = Vec::new();
-                    let cs = this.solve_component(
-                        topo,
-                        &cl_ref.flows_flat[start..end],
-                        &mut ws,
-                        &mut out,
-                    );
-                    this.wf_pool.lock().expect("scratch pool poisoned").push(ws);
-                    (out, cs)
-                });
-            // `run_indexed` returns results in component (seed) order; the
-            // apply pass below re-sorts by slot anyway, so the merge order
-            // only needs to be deterministic, which index order is.
-            for r in results {
-                let (out, cs) = r.value;
-                cl.apply.extend(out);
-                agg.merge(cs);
-            }
-        } else {
-            let mut ws = self
-                .wf_pool
-                .lock()
-                .expect("scratch pool poisoned")
-                .pop()
-                .unwrap_or_default();
-            let mut apply = std::mem::take(&mut cl.apply);
-            let mut start = 0;
-            for &end in &cl.comp_ends {
-                let cs =
-                    self.solve_component(topo, &cl.flows_flat[start..end], &mut ws, &mut apply);
-                agg.merge(cs);
-                start = end;
-            }
-            cl.apply = apply;
-            self.wf_pool.lock().expect("scratch pool poisoned").push(ws);
+        let mut start = 0;
+        for &end in &cl.comp_ends {
+            self.solve_component(topo, &cl.flows_flat[start..end], &mut cl.apply);
+            start = end;
         }
-        self.stats.links_touched += agg.links;
-        self.stats.iterations += agg.iterations;
-        self.stats.work += agg.work;
-        self.stats.scratch_reuses += agg.reused;
 
         // Apply to affected flows only, in ascending id order (matching
         // the historical sorted-affected apply): settle lazily-accrued
@@ -1155,22 +1047,14 @@ impl FluidNetwork {
         changes
     }
 
-    /// Water-fills one link-disjoint component. Pure with respect to the
-    /// network (reads specs/paths/capacities, writes only the scratch and
-    /// `out`), so components can run on pool workers concurrently. The
-    /// arithmetic — constraint minimum, rate increments, freeze rules —
-    /// is exactly the oracle's scoped solver restricted to one component.
-    fn solve_component(
-        &self,
-        topo: &Topology,
-        flows: &[u32],
-        ws: &mut WaterfillScratch,
-        out: &mut Vec<(u32, f64)>,
-    ) -> CompStats {
-        let mut cs = CompStats {
-            reused: ws.warm as u64,
-            ..CompStats::default()
-        };
+    /// Water-fills one link-disjoint component into `out`, counting its
+    /// effort into the solver stats. Reads specs/paths/capacities and
+    /// writes only the waterfill scratch, the stats and `out`. The
+    /// arithmetic — constraint minimum, rate increments, freeze rules — is
+    /// exactly the oracle's scoped solver restricted to one component.
+    fn solve_component(&mut self, topo: &Topology, flows: &[u32], out: &mut Vec<(u32, f64)>) {
+        let ws = &mut self.waterfill;
+        self.stats.scratch_reuses += ws.warm as u64;
         ws.warm = true;
         ws.epoch += 1;
         let dl_cap = self.link_members.len();
@@ -1221,14 +1105,14 @@ impl FluidNetwork {
             ws.unfrozen.push(li);
         }
         ws.flow_dl_off.push(ws.flow_dl.len() as u32);
-        cs.links = ws.remaining.len() as u64;
+        self.stats.links_touched += ws.remaining.len() as u64;
 
         // Progressive filling. Per-dlink unfrozen counts are maintained
         // incrementally as flows freeze, so each round costs O(unfrozen
         // flows + constrained links) instead of a full membership rebuild.
         while !ws.unfrozen.is_empty() {
-            cs.iterations += 1;
-            cs.work += ws.unfrozen.len() as u64 + ws.remaining.len() as u64;
+            self.stats.iterations += 1;
+            self.stats.work += ws.unfrozen.len() as u64 + ws.remaining.len() as u64;
 
             // The water level rises by the tightest constraint.
             let mut delta = f64::INFINITY;
@@ -1286,7 +1170,6 @@ impl FluidNetwork {
         for li in 0..ws.flow_slot.len() {
             out.push((ws.flow_slot[li], ws.new_rate[li]));
         }
-        cs
     }
 }
 
@@ -1834,66 +1717,6 @@ mod tests {
     }
 
     // ---- Arena-shape-specific tests ----------------------------------
-
-    /// Builds `rails` disjoint host pairs, each joined by one 1 Gbps link.
-    fn rails(n: usize) -> (Topology, Vec<(NodeId, NodeId, LinkId)>) {
-        let mut t = Topology::new();
-        let sn: crate::addr::Ipv4Prefix = "10.0.0.0/16".parse().unwrap();
-        let mut out = Vec::new();
-        for i in 0..n {
-            let a = t.add_host(format!("a{i}"), Ipv4Addr::new(10, 0, i as u8, 1), sn);
-            let b = t.add_host(format!("b{i}"), Ipv4Addr::new(10, 0, i as u8, 2), sn);
-            let (l, ..) = t.add_link(a, b, GBPS, 0);
-            out.push((a, b, l));
-        }
-        (t, out)
-    }
-
-    /// Starts one deferred burst spanning `rails` components with mixed
-    /// demands, flushes, and returns the rates in id order.
-    fn burst_rates(threads: usize) -> (Vec<u64>, SolverStats) {
-        let (t, rs) = rails(4);
-        let mut net = FluidNetwork::new();
-        net.set_run_threads(threads);
-        let mut k = 0u8;
-        for (a, b, l) in &rs {
-            for j in 0..3 {
-                let demand = [0.2, 0.5, 1.0][j] * GBPS;
-                net.start_deferred(
-                    SimTime::ZERO,
-                    FlowSpec::cbr(*a, *b, tuple(k), demand),
-                    vec![*l],
-                    &t,
-                )
-                .unwrap();
-                k += 1;
-            }
-        }
-        net.flush(&t);
-        let rates = net
-            .flow_ids()
-            .map(|id| net.rate_of(id).unwrap().to_bits())
-            .collect();
-        (rates, net.solver_stats())
-    }
-
-    #[test]
-    fn thread_count_does_not_change_allocations() {
-        // 4 components × 3 flows in one burst: serial and sharded solves
-        // must agree bitwise (identical per-component arithmetic).
-        let (serial, s1) = burst_rates(1);
-        let (two, s2) = burst_rates(2);
-        let (four, s4) = burst_rates(4);
-        assert_eq!(serial, two);
-        assert_eq!(serial, four);
-        assert_eq!(s1.parallel_rounds, 0, "serial path stays off the pool");
-        assert!(s2.parallel_rounds >= 1, "threads>1 + components engage");
-        assert_eq!(s4.parallel_components, 4);
-        // The logical work is thread-count-invariant too.
-        assert_eq!(s1.flows_touched, s2.flows_touched);
-        assert_eq!(s1.iterations, s4.iterations);
-        assert_eq!(s1.work, s4.work);
-    }
 
     #[test]
     fn stale_heap_entries_are_dropped() {

@@ -215,13 +215,11 @@ impl PrefixInterner {
 ///
 /// Interning is read-mostly: the owner seeds every prefix the experiment
 /// can ever announce (each speaker's originated networks, gathered in
-/// deterministic order) before any worker thread exists, so steady-state
-/// interns take only the read lock and ids are independent of execution
-/// order — the property the intra-run parallel pump's determinism
-/// contract relies on. The write path exists for prefixes outside the
-/// seed (e.g. a standalone harness) and is serialized by the lock; the
-/// double-checked probe under the write lock keeps one id per value even
-/// if two workers miss concurrently.
+/// deterministic order) before the first pump, so steady-state interns
+/// take only the read lock and every id is a function of the run. The
+/// write path exists for prefixes outside the seed (e.g. a standalone
+/// harness); the double-checked probe under the write lock keeps one id
+/// per value.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixPool(Arc<RwLock<PrefixInterner>>);
 

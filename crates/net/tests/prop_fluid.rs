@@ -394,19 +394,15 @@ proptest! {
     /// unbounded), stops, reroutes between spines, and link flaps must
     /// leave the arena solver and the preserved naive oracle in agreement
     /// after every op, and the two must then drain the same completion
-    /// schedule. The arena side runs serially or with its component
-    /// solves sharded across two workers: the whole script, not just one
-    /// burst, must be invariant to the run-thread count.
+    /// schedule.
     #[test]
     fn oracle_and_arena_agree_under_churn(
         n in 3usize..6,
         ops in prop::collection::vec((0usize..4, 0usize..64), 1..48),
-        run_threads in 1usize..3,
     ) {
         let (mut topo, hosts) = build_dual_spine(n);
         let links: Vec<LinkId> = topo.link_ids().collect();
         let mut fast = FluidNetwork::new();
-        fast.set_run_threads(run_threads);
         let mut naive = NaiveFluidNetwork::new();
         let mut started: Vec<FlowId> = Vec::new();
         let mut endpoints: Vec<(usize, usize)> = Vec::new();

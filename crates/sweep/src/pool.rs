@@ -1,9 +1,8 @@
 //! The work-stealing worker pool (re-exported from `horse-pool`).
 //!
-//! The pool implementation moved to its own crate so the intra-run
-//! parallel pump in `horse-core` can schedule through the same scheduler
-//! without a `sweep → core → sweep` dependency cycle. Everything the
-//! sweep layer used from here — [`run_indexed`], [`run_selected`],
+//! The implementation lives in its own crate, `horse-pool`. The sweep is
+//! its only user; folding the crate back in here is an open cleanup.
+//! Everything the sweep layer uses — [`run_indexed`], [`run_selected`],
 //! [`run_selected_with`], [`RunOutcome`], [`RunResult`] — is re-exported
 //! unchanged; see `horse-pool`'s docs for scheduling, determinism, and
 //! panic-containment details. Only [`threads_from_env`] is native to this

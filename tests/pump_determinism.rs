@@ -2,10 +2,6 @@
 //! its report must be byte-identical (modulo wall time and the pump's own
 //! cost counters) to the legacy poll-every-node pump's — on BGP and SDN
 //! control planes, with rule expiry, and through link failures.
-//!
-//! The same contract covers intra-run parallelism: sharding a round's
-//! drain across `run_threads` workers must leave the semantic report
-//! byte-identical at any worker count, alone or nested inside a sweep.
 
 use horse::net::flow::FlowSpec;
 use horse::sim::{SimDuration, SimTime};
@@ -14,7 +10,7 @@ use horse::topo::pattern::demo_tuple;
 use horse::topo::{
     bgp_setups_for, bgp_setups_with_networks, pop_wan, spread_originations, wan_timers,
 };
-use horse::{ControlBuild, Experiment, ExperimentReport, PumpMode, TeApproach};
+use horse::{ControlBuild, Experiment, PumpMode, TeApproach};
 
 const G: f64 = 1e9;
 
@@ -126,105 +122,19 @@ fn sdn_link_failure_matches_full_poll() {
 }
 
 #[test]
-fn bgp_demo_is_byte_identical_at_any_run_thread_count() {
-    // The serial pump merges each node as soon as it is drained; the
-    // sharded one merges after the whole scoped drain. Both must give the
-    // same bytes, on drains of a few routes (the fat-tree demo) and of
-    // thousands (a PoP WAN carrying a synthetic table).
-    let demo = |threads: usize| {
-        Experiment::demo(4, TeApproach::BgpEcmp, 42)
-            .horizon_secs(3.0)
-            .run_threads(threads)
-            .run()
-    };
-    let wan = |threads: usize| {
+fn bgp_wan_table_matches_full_poll() {
+    // A PoP WAN carrying a synthetic table: each drain carries thousands
+    // of route changes, and the pump merges each node as soon as it is
+    // drained.
+    let (ready, polled) = both_modes(|| {
         let (topo, _cores, leaves) = pop_wan(4, 3, G);
         let setups =
             bgp_setups_with_networks(&topo, wan_timers(), &spread_originations(&leaves, 2_000));
-        let mut e = Experiment::new(topo).horizon_secs(5.0).run_threads(threads);
+        let mut e = Experiment::new(topo).horizon_secs(5.0);
         e.control = ControlBuild::Bgp(setups);
-        e.run()
-    };
-    let inputs: [(&str, &dyn Fn(usize) -> ExperimentReport); 2] =
-        [("fat-tree demo", &demo), ("pop wan", &wan)];
-    for (name, run) in inputs {
-        let serial = run(1);
-        assert_eq!(serial.pump_parallel_rounds, 0, "serial pump must not shard");
-        assert_eq!(serial.pump_run_threads, 1);
-        for threads in [2, 4] {
-            let parallel = run(threads);
-            assert_eq!(
-                serial.semantic_json(),
-                parallel.semantic_json(),
-                "{name}: semantic report diverged at run_threads={threads}"
-            );
-            assert_eq!(
-                serial.pump_nodes_touched, parallel.pump_nodes_touched,
-                "{name}: run_threads={threads} touched other nodes"
-            );
-            assert_eq!(parallel.pump_run_threads, threads as u64);
-            assert!(
-                parallel.pump_parallel_rounds > 0,
-                "{name}: convergence must shard rounds at run_threads={threads}"
-            );
-            assert!(parallel.pump_parallel_nodes <= parallel.pump_nodes_touched);
-        }
-    }
-}
-
-#[test]
-fn bgp_link_failure_is_byte_identical_at_any_run_thread_count() {
-    // Failure + repair mid-run: withdrawals and reconvergence must merge
-    // in the same order whichever worker drained each speaker.
-    let run = |threads: usize| {
-        let ft = FatTree::build(4, SwitchRole::BgpRouter, G, 1_000);
-        let agg = ft.aggs[0];
-        let core = ft.cores[0];
-        let (victim, _) = ft.topo.link_between(agg, core).expect("agg-core link");
-        Experiment::demo(4, TeApproach::BgpEcmp, 42)
-            .horizon_secs(8.0)
-            .link_down(SimTime::from_secs(2), victim)
-            .link_up(SimTime::from_secs(4), victim)
-            .run_threads(threads)
-            .run()
-    };
-    let serial = run(1);
-    for threads in [2, 4] {
-        assert_eq!(
-            serial.semantic_json(),
-            run(threads).semantic_json(),
-            "failure run diverged at run_threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn nested_sweep_and_run_pools_compose_without_reordering() {
-    // Two sweep workers each spawning two drain workers per round: the
-    // scoped pools must neither deadlock nor change a single byte.
-    use horse::sweep::SweepPlan;
-    let plan = |run_threads: usize| {
-        SweepPlan::new(42)
-            .pods([4])
-            .approaches([TeApproach::BgpEcmp])
-            .replicates(2)
-            .horizon_secs(2.0)
-            .run_threads(run_threads)
-    };
-    let serial = plan(1).execute(1);
-    let nested = plan(2).execute(2);
-    assert_eq!(
-        serial.semantic_json(),
-        nested.semantic_json(),
-        "sweep output diverged under nested run parallelism"
-    );
-    assert!(
-        nested
-            .runs
-            .iter()
-            .all(|r| r.report.pump_parallel_rounds > 0),
-        "every nested run should have sharded at least one round"
-    );
+        e
+    });
+    assert!(ready.pump_nodes_touched < polled.pump_nodes_touched);
 }
 
 #[test]

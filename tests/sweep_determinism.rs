@@ -13,7 +13,7 @@ use horse::TeApproach;
 
 fn plan() -> SweepPlan {
     SweepPlan::new(42)
-        .pods([4])
+        .topologies([4])
         .approaches([TeApproach::BgpEcmp, TeApproach::SdnEcmp, TeApproach::Hedera])
         .failures([
             FailureScenario::None,
@@ -63,7 +63,7 @@ fn mixed_plan_is_identical_across_worker_counts() {
 #[test]
 fn killed_and_resumed_sweep_matches_uninterrupted_report() {
     let plan = SweepPlan::new(42)
-        .pods([4])
+        .topologies([4])
         .approaches([TeApproach::BgpEcmp, TeApproach::SdnEcmp])
         .failures([
             FailureScenario::None,
@@ -213,7 +213,7 @@ fn empty_policy_axis_is_byte_identical_to_no_policy_axis() {
 #[test]
 fn replicates_get_distinct_seeds_and_results_stay_ordered() {
     let plan = SweepPlan::new(7)
-        .pods([4])
+        .topologies([4])
         .approaches([TeApproach::SdnEcmp])
         .replicates(3)
         .horizon_secs(2.0);

@@ -39,7 +39,7 @@ fn same_seed_gives_byte_identical_trace_exports() {
 fn sweep_traces_are_identical_across_worker_counts() {
     use horse::sweep::SweepPlan;
     let plan = SweepPlan::new(42)
-        .pods([4])
+        .topologies([4])
         .approaches([TeApproach::SdnEcmp, TeApproach::BgpEcmp])
         .horizon_secs(2.0)
         .trace(TraceOptions::enabled());
@@ -57,66 +57,6 @@ fn sweep_traces_are_identical_across_worker_counts() {
             s.spec.label()
         );
         assert_eq!(st.chrome_json(false), pt.chrome_json(false));
-    }
-}
-
-#[test]
-fn traces_are_byte_identical_at_any_run_thread_count() {
-    // The parallel drain records speaker events on worker threads, but
-    // every ring is per-speaker and merged in node order — so the export
-    // must not move a single byte when the drain shards.
-    let run = |threads: usize| {
-        let (report, trace) = Experiment::demo(4, TeApproach::BgpEcmp, 42)
-            .horizon_secs(3.0)
-            .trace(TraceOptions::enabled())
-            .run_threads(threads)
-            .run_traced();
-        (report, trace.expect("tracing was enabled"))
-    };
-    let (serial_report, serial_trace) = run(1);
-    for threads in [2, 4] {
-        let (report, trace) = run(threads);
-        assert_eq!(
-            serial_report.semantic_json(),
-            report.semantic_json(),
-            "report diverged at run_threads={threads}"
-        );
-        assert_eq!(
-            serial_trace.to_json(false),
-            trace.to_json(false),
-            "trace diverged at run_threads={threads}"
-        );
-        assert_eq!(serial_trace.chrome_json(false), trace.chrome_json(false));
-        assert!(
-            report.pump_parallel_rounds > 0,
-            "traced demo must shard rounds at run_threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn sweep_traces_survive_nested_run_parallelism() {
-    // 2 sweep workers × 4 drain workers: nested scoped pools, same bytes.
-    use horse::sweep::SweepPlan;
-    let plan = |run_threads: usize| {
-        SweepPlan::new(42)
-            .pods([4])
-            .approaches([TeApproach::BgpEcmp])
-            .replicates(2)
-            .horizon_secs(2.0)
-            .trace(TraceOptions::enabled())
-            .run_threads(run_threads)
-    };
-    let serial = plan(1).execute(1);
-    let nested = plan(4).execute(2);
-    assert_eq!(serial.runs.len(), nested.runs.len());
-    for (s, p) in serial.runs.iter().zip(&nested.runs) {
-        assert_eq!(
-            s.trace.as_ref().expect("serial run traced").to_json(false),
-            p.trace.as_ref().expect("nested run traced").to_json(false),
-            "trace diverged under nested pools for {}",
-            s.spec.label()
-        );
     }
 }
 

@@ -264,81 +264,6 @@ impl UpdateMsg {
             + self.withdrawn.iter().map(prefix_wire_len).sum::<usize>()
             + self.nlri.iter().map(prefix_wire_len).sum::<usize>()
     }
-
-    /// Splits this UPDATE into a sequence of UPDATEs that each fit within
-    /// [`MAX_MESSAGE_LEN`], preserving prefix order. An UPDATE that already
-    /// fits is returned as-is, so in-range messages keep byte-identical
-    /// encodings; oversized ones emit withdraw-only chunks first, then NLRI
-    /// chunks that each repeat the shared attributes (RFC 4271 §9.2).
-    ///
-    /// The speaker sends pre-encoded images (`encode_updates`) and does
-    /// not call this. It is kept, sharing no code with that function, for
-    /// callers that hold a whole `UpdateMsg` and as the reference the tests
-    /// hold `encode_updates` to.
-    pub fn split_to_fit(self) -> Vec<UpdateMsg> {
-        if self.wire_len() <= MAX_MESSAGE_LEN {
-            return vec![self];
-        }
-        let UpdateMsg {
-            withdrawn,
-            attrs,
-            nlri,
-        } = self;
-        let mut out = Vec::new();
-        // Withdrawals carry no attributes, so they pack densely.
-        let mut batch = Vec::new();
-        let mut used = Self::FIXED_LEN;
-        for p in withdrawn {
-            let w = prefix_wire_len(&p);
-            if used + w > MAX_MESSAGE_LEN {
-                out.push(UpdateMsg {
-                    withdrawn: std::mem::take(&mut batch),
-                    attrs: None,
-                    nlri: vec![],
-                });
-                used = Self::FIXED_LEN;
-            }
-            used += w;
-            batch.push(p);
-        }
-        if !batch.is_empty() {
-            out.push(UpdateMsg {
-                withdrawn: batch,
-                attrs: None,
-                nlri: vec![],
-            });
-        }
-        if !nlri.is_empty() {
-            let attrs = attrs.expect("NLRI without attributes");
-            let base = Self::FIXED_LEN + attrs_wire_len(&attrs);
-            assert!(
-                base + 5 <= MAX_MESSAGE_LEN,
-                "path attributes ({} bytes) leave no room for NLRI",
-                base - Self::FIXED_LEN
-            );
-            let mut batch = Vec::new();
-            let mut used = base;
-            for p in nlri {
-                let w = prefix_wire_len(&p);
-                if used + w > MAX_MESSAGE_LEN {
-                    out.push(UpdateMsg {
-                        withdrawn: vec![],
-                        attrs: Some(attrs.clone()),
-                        nlri: std::mem::take(&mut batch),
-                    });
-                    used = base;
-                }
-                used += w;
-                batch.push(p);
-            }
-            out.push(UpdateMsg {
-                withdrawn: vec![],
-                attrs: Some(attrs),
-                nlri: batch,
-            });
-        }
-        out
-    }
 }
 
 /// A NOTIFICATION message.
@@ -697,6 +622,22 @@ fn decode_prefix(buf: &mut &[u8]) -> Result<Ipv4Prefix, CodecError> {
     Ok(Ipv4Prefix::new(Ipv4Addr::from(octets), len))
 }
 
+/// Decodes the prefixes filling `bytes` into a `Vec` sized by one pass
+/// over their length octets: one allocation, not one per doubling of a
+/// thousand-prefix NLRI field.
+fn decode_prefixes(mut bytes: &[u8]) -> Result<Vec<Ipv4Prefix>, CodecError> {
+    let (mut count, mut at) = (0, 0);
+    while at < bytes.len() {
+        count += 1;
+        at += 1 + usize::from(bytes[at]).div_ceil(8);
+    }
+    let mut out = Vec::with_capacity(count);
+    while !bytes.is_empty() {
+        out.push(decode_prefix(&mut bytes)?);
+    }
+    Ok(out)
+}
+
 const ATTR_FLAG_OPTIONAL: u8 = 0x80;
 const ATTR_FLAG_TRANSITIVE: u8 = 0x40;
 const ATTR_FLAG_EXTENDED: u8 = 0x10;
@@ -1004,10 +945,11 @@ pub(crate) fn check_announce(attrs_len: usize, prefix: Ipv4Prefix) -> Result<(),
 /// already encoded attribute block `attrs`, or withdrawn when it is `None`
 /// — and pushes each message's end offset in `out` onto `ends`. Each
 /// message takes the longest run of prefixes that fits
-/// [`MAX_MESSAGE_LEN`], which is how [`UpdateMsg::split_to_fit`] splits the
-/// equivalent message (the tests hold the two together; they share no
-/// code). Every announced prefix must pass [`check_announce`] behind
-/// `attrs`; the speaker withholds those that do not before it gets here.
+/// [`MAX_MESSAGE_LEN`], which is how the tests' whole-message splitter
+/// (`tests/support/split_to_fit.rs`) splits the equivalent message; the
+/// two share no code. Every announced prefix must pass [`check_announce`]
+/// behind `attrs`; the speaker withholds those that do not before it gets
+/// here.
 pub(crate) fn encode_updates(
     attrs: Option<&[u8]>,
     prefixes: &[Ipv4Prefix],
@@ -1056,12 +998,8 @@ fn decode_update<A>(
     if buf.len() < wlen {
         return Err(CodecError::Truncated("update withdrawn routes"));
     }
-    let mut wbuf = &buf[..wlen];
+    let withdrawn = decode_prefixes(&buf[..wlen])?;
     buf.advance(wlen);
-    let mut withdrawn = Vec::new();
-    while !wbuf.is_empty() {
-        withdrawn.push(decode_prefix(&mut wbuf)?);
-    }
     if buf.len() < 2 {
         return Err(CodecError::Truncated("update attribute length"));
     }
@@ -1076,12 +1014,8 @@ fn decode_update<A>(
     } else {
         Some(decode_block(abuf)?)
     };
-    let mut nlri = Vec::new();
-    let mut nbuf = *buf;
-    while !nbuf.is_empty() {
-        nlri.push(decode_prefix(&mut nbuf)?);
-    }
-    *buf = nbuf;
+    let nlri = decode_prefixes(buf)?;
+    buf.advance(buf.len());
     if attrs.is_none() && !nlri.is_empty() {
         return Err(CodecError::Malformed("nlri without attributes"));
     }
@@ -1153,7 +1087,12 @@ impl StreamDecoder {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/split_to_fit.rs"]
+mod split_ref;
+
+#[cfg(test)]
 mod tests {
+    use super::split_ref::split_to_fit;
     use super::*;
 
     fn pfx(s: &str) -> Ipv4Prefix {
@@ -1384,8 +1323,7 @@ mod tests {
                 nlri: vec![],
             },
         };
-        whole
-            .split_to_fit()
+        split_to_fit(whole)
             .into_iter()
             .map(|u| Message::Update(u).encode())
             .collect()
@@ -1475,7 +1413,7 @@ mod tests {
                 nlri: vec![prefix],
             };
             assert_eq!(lens, [whole.wire_len()]);
-            assert_eq!(whole.clone().split_to_fit(), vec![whole]);
+            assert_eq!(split_to_fit(whole.clone()), vec![whole]);
         }
         let lens = checked_encode_updates(Some(&block), &[pfx("77.0.0.0/8"), pfx("78.0.0.0/8")]);
         assert_eq!(lens, [4095, 4095]);
@@ -1505,7 +1443,7 @@ mod tests {
             attrs: Some(Arc::new(sample_attrs())),
             nlri: vec![pfx("10.2.3.0/24")],
         };
-        assert_eq!(u.clone().split_to_fit(), vec![u]);
+        assert_eq!(split_to_fit(u.clone()), vec![u]);
     }
 
     #[test]
@@ -1520,7 +1458,7 @@ mod tests {
             attrs: Some(Arc::new(sample_attrs())),
             nlri: many.clone(),
         };
-        let chunks = u.split_to_fit();
+        let chunks = split_to_fit(u);
         assert!(
             chunks.len() >= 4,
             "expected several chunks, got {}",

@@ -524,9 +524,10 @@ pub struct RibStats {
     /// with a shared pool the owner (`BgpControl`) reports the pool size
     /// once, so merged figures never double-count.
     pub attr_store_size: u64,
-    /// Export-policy results served from the per-peer cache.
+    /// Export-memo probes answered from the memo. A sync probes once per
+    /// run of prefixes with an equal best path, not once per prefix.
     pub export_cache_hits: u64,
-    /// Export-policy computations (cache misses).
+    /// Export-policy computations (memo misses).
     pub export_cache_misses: u64,
 }
 
@@ -850,7 +851,7 @@ impl Default for Slot {
 /// is id 0 by convention and not stored, so a RIB that never decides
 /// anything allocates nothing here.
 #[derive(Debug, Clone, Default)]
-struct HopSets {
+pub(crate) struct HopSets {
     ids: FastMap<Box<[Ipv4Addr]>, HopSetId>,
     /// `sets[id - 1]` is the set with that (non-zero) id.
     sets: Vec<Box<[Ipv4Addr]>>,
@@ -871,7 +872,8 @@ impl HopSets {
         id
     }
 
-    fn get(&self, id: HopSetId) -> &[Ipv4Addr] {
+    /// The addresses of an interned set, sorted.
+    pub(crate) fn get(&self, id: HopSetId) -> &[Ipv4Addr] {
         match id.0 {
             0 => &[],
             n => &self.sets[n as usize - 1],
@@ -1152,7 +1154,18 @@ impl LocRib {
             id: self.counted(self.pool.intern(a)),
             next_hop: a.next_hop,
         });
-        self.apply_update(peer, ebgp, &update.withdrawn, attrs, &update.nlri, None)
+        let mut affected = Vec::new();
+        self.apply_update(
+            peer,
+            ebgp,
+            &update.withdrawn,
+            attrs,
+            &update.nlri,
+            None,
+            &mut affected,
+        );
+        self.prefixes.sort_by_value(&mut affected);
+        affected
     }
 
     /// Resolves a received attribute block through the pool's wire index
@@ -1163,8 +1176,10 @@ impl LocRib {
 
     /// Applies an UPDATE from `peer` whose attributes (if any) are already
     /// resolved — the speaker's receive path — with an optional import
-    /// route-map, the single import-policy choke point. Returns the
-    /// affected prefixes as [`LocRib::update_from_peer`] does.
+    /// route-map, the single import-policy choke point. Appends every
+    /// prefix whose candidate set changed to `affected`, in no particular
+    /// order and possibly more than once: the speaker sorts the list of a
+    /// whole pass once.
     /// Announcements whose AS_PATH contains our own AS are rejected (loop
     /// prevention) — treated as withdrawals of any previous path from that
     /// peer. With a map, NLRI are bucketed by the first matching clause so
@@ -1172,6 +1187,7 @@ impl LocRib {
     /// not per prefix; denied prefixes (deny clause or no clause — implicit
     /// deny) are treated as withdrawals from this peer. The loop check and
     /// the map read the interned set; neither looks at NEXT_HOP.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply_update(
         &mut self,
         peer: Ipv4Addr,
@@ -1180,20 +1196,20 @@ impl LocRib {
         attrs: Option<RxAttrs>,
         nlri: &[Ipv4Prefix],
         import: Option<&crate::policy::RouteMap>,
-    ) -> Vec<PrefixId> {
-        let mut affected: Vec<PrefixId> = Vec::new();
+        affected: &mut Vec<PrefixId>,
+    ) {
         let peer_key = u32::from(peer);
         debug_assert_ne!(peer_key, LOCAL_KEY, "0.0.0.0 is not a peer address");
-        self.remove_peer_candidates(peer, peer_key, withdrawn, &mut affected);
+        self.remove_peer_candidates(peer, peer_key, withdrawn, affected);
         if let Some(rx) = attrs {
             let looped = self.pool.read().attrs(rx.id).contains_asn(self.local_as);
             if looped {
-                self.remove_peer_candidates(peer, peer_key, nlri, &mut affected);
+                self.remove_peer_candidates(peer, peer_key, nlri, affected);
             } else {
                 match import {
                     // One intern per UPDATE, not per prefix: every NLRI in
                     // the message shares the id.
-                    None => self.insert_candidates(peer, peer_key, ebgp, rx, nlri, &mut affected),
+                    None => self.insert_candidates(peer, peer_key, ebgp, rx, nlri, affected),
                     Some(map) => {
                         use crate::policy::{PolicyAction, PolicyVerdict};
                         let attrs = self.pool.attrs(rx.id);
@@ -1210,7 +1226,7 @@ impl LocRib {
                         }
                         // A denied announce is a withdrawal from this peer
                         // (and, like one, never grows the arenas).
-                        self.remove_peer_candidates(peer, peer_key, &denied, &mut affected);
+                        self.remove_peer_candidates(peer, peer_key, &denied, affected);
                         for (i, nlri) in buckets {
                             let id = match map.verdict_of(i, &attrs, self.local_as) {
                                 PolicyVerdict::Permit(None) => rx.id,
@@ -1218,14 +1234,12 @@ impl LocRib {
                                 PolicyVerdict::Deny => unreachable!("bucketed permit clause"),
                             };
                             let rx = RxAttrs { id, ..rx };
-                            self.insert_candidates(peer, peer_key, ebgp, rx, &nlri, &mut affected);
+                            self.insert_candidates(peer, peer_key, ebgp, rx, &nlri, affected);
                         }
                     }
                 }
             }
         }
-        self.prefixes.sort_by_value(&mut affected);
-        affected
     }
 
     /// Removes every route learned from `peer` (session down), returning
@@ -1559,7 +1573,14 @@ impl LocRib {
         }
     }
 
-    /// The addresses of an interned next-hop set, sorted.
+    /// Read access to every interned next-hop set, for resolving a batch
+    /// of ids in place. Holds a borrow of the RIB's interior state: no
+    /// decision may run while it is alive.
+    pub(crate) fn hop_sets(&self) -> std::cell::Ref<'_, HopSets> {
+        self.hop_sets.borrow()
+    }
+
+    /// The addresses of an interned next-hop set, sorted (a copy).
     pub fn hop_set(&self, id: HopSetId) -> Vec<Ipv4Addr> {
         self.hop_sets.borrow().get(id).to_vec()
     }

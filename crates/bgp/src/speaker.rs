@@ -52,7 +52,7 @@ use crate::msg::{
     announce_next_hop_offset, check_announce, encode_attrs, encode_updates, PathAttributes,
 };
 use crate::policy::RouteMap;
-use crate::rib::{BestPath, HopSetId, LocRib, RibStats};
+use crate::rib::{AttrId, BestPath, HopSetId, LocRib, RibStats};
 use crate::session::{PeerConfig, Session, SessionEvent, SessionState, TimerConfig};
 use bytes::{Bytes, BytesMut};
 use horse_net::addr::Ipv4Prefix;
@@ -151,9 +151,12 @@ pub struct BgpConfig {
     pub policies: std::collections::BTreeMap<Ipv4Addr, crate::policy::PeerPolicy>,
 }
 
-/// Outputs drained with [`BgpSpeaker::take_outputs`].
+/// What a speaker emits, generic over how a route change carries its
+/// next-hop set: queued inside the speaker as the RIB's interned
+/// [`HopSetId`], handed out by [`BgpSpeaker::drain_outputs`] as a slice
+/// borrowed from the RIB, and owned in a [`SpeakerOutput`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SpeakerOutput {
+pub enum Output<H> {
     /// Bytes to deliver to a peer.
     SendBytes {
         /// Destination peer.
@@ -176,9 +179,28 @@ pub enum SpeakerOutput {
         /// The prefix.
         prefix: Ipv4Prefix,
         /// New multipath next-hop set, sorted.
-        next_hops: Vec<Ipv4Addr>,
+        next_hops: H,
     },
 }
+
+impl<H> Output<H> {
+    /// The same output with a route change's next-hop set converted.
+    pub(crate) fn map_hops<T>(self, f: impl FnOnce(H) -> T) -> Output<T> {
+        match self {
+            Output::SendBytes { peer, bytes } => Output::SendBytes { peer, bytes },
+            Output::SessionUp { peer } => Output::SessionUp { peer },
+            Output::SessionDown { peer } => Output::SessionDown { peer },
+            Output::RouteChanged { prefix, next_hops } => Output::RouteChanged {
+                prefix,
+                next_hops: f(next_hops),
+            },
+        }
+    }
+}
+
+/// Outputs drained with [`BgpSpeaker::take_outputs`]: each route change
+/// owns a copy of its next-hop set.
+pub type SpeakerOutput = Output<Vec<Ipv4Addr>>;
 
 /// A complete BGP routing daemon, sans-IO.
 #[derive(Debug)]
@@ -226,7 +248,8 @@ pub struct BgpSpeaker {
     /// Last next-hop set reported per prefix id, by the RIB's interned set
     /// id ([`HopSetId::EMPTY`] = absent).
     fib_view: Vec<HopSetId>,
-    outputs: Vec<SpeakerOutput>,
+    /// Queued outputs, route changes by interned next-hop set.
+    outputs: Vec<Output<HopSetId>>,
     started: bool,
     /// Per peer index: earliest instant the next announcement burst may go
     /// out (MRAI hold-down); `SimTime::ZERO` = unarmed.
@@ -588,9 +611,25 @@ impl BgpSpeaker {
         }
     }
 
-    /// Drains accumulated outputs.
+    /// Drains accumulated outputs in emission order, handing each to
+    /// `each` with a route change's next hops borrowed from the RIB's
+    /// interned set: the drain itself allocates nothing. The queue's
+    /// buffer goes back to the allocator, as a moved-out `Vec` would —
+    /// kept on every speaker of a run, it would cost more memory than it
+    /// saves allocations.
+    pub fn drain_outputs(&mut self, mut each: impl FnMut(Output<&[Ipv4Addr]>)) {
+        let sets = self.rib.hop_sets();
+        for o in std::mem::take(&mut self.outputs) {
+            each(o.map_hops(|id| sets.get(id)));
+        }
+    }
+
+    /// Drains accumulated outputs into owned values (see
+    /// [`BgpSpeaker::drain_outputs`]).
     pub fn take_outputs(&mut self) -> Vec<SpeakerOutput> {
-        std::mem::take(&mut self.outputs)
+        let mut out = Vec::with_capacity(self.outputs.len());
+        self.drain_outputs(|o| out.push(o.map_hops(<[Ipv4Addr]>::to_vec)));
+        out
     }
 
     /// True when the speaker was touched since the last call and its
@@ -664,18 +703,18 @@ impl BgpSpeaker {
                 for ev in events.drain(..) {
                     match ev {
                         SessionEvent::SendBytes(bytes) => {
-                            self.outputs.push(SpeakerOutput::SendBytes { peer, bytes });
+                            self.outputs.push(Output::SendBytes { peer, bytes });
                         }
                         SessionEvent::Established => {
                             newly_up.push(pi);
-                            self.outputs.push(SpeakerOutput::SessionUp { peer });
+                            self.outputs.push(Output::SessionUp { peer });
                         }
                         SessionEvent::Down(_) => {
                             affected.extend(self.rib.drop_peer(peer));
                             self.adj_out[pi].clear();
                             self.mrai_pending[pi].clear();
                             self.mrai_ready[pi] = SimTime::ZERO;
-                            self.outputs.push(SpeakerOutput::SessionDown { peer });
+                            self.outputs.push(Output::SessionDown { peer });
                         }
                         SessionEvent::Update(update) => {
                             self.tracer.record(
@@ -689,14 +728,15 @@ impl BgpSpeaker {
                             // The single import-policy choke point: the
                             // peer's route-map (if any) transforms or drops
                             // routes before they enter the RIB.
-                            affected.extend(self.rib.apply_update(
+                            self.rib.apply_update(
                                 peer,
                                 true,
                                 &update.withdrawn,
                                 update.attrs,
                                 &update.nlri,
                                 self.import_policy[pi].as_deref(),
-                            ));
+                                &mut affected,
+                            );
                         }
                     }
                 }
@@ -712,8 +752,8 @@ impl BgpSpeaker {
                 self.scratch_decided = decided;
             }
             if !affected.is_empty() {
-                // Per-event slices are each value-sorted; merge the
-                // concatenation back into one sorted, deduped slice.
+                // Every event of the pass appended its prefixes unsorted;
+                // one sort orders and dedups them all.
                 self.rib.sort_ids_by_value(&mut affected);
                 self.reconcile(&affected, now);
             }
@@ -792,9 +832,9 @@ impl BgpSpeaker {
                 };
                 if *slot != hops {
                     *slot = hops;
-                    self.outputs.push(SpeakerOutput::RouteChanged {
+                    self.outputs.push(Output::RouteChanged {
                         prefix: table.value(id),
-                        next_hops: self.rib.hop_set(hops),
+                        next_hops: hops,
                     });
                 }
             }
@@ -838,12 +878,30 @@ impl BgpSpeaker {
         let mut group_of = std::mem::take(&mut self.scratch_group_of);
         group_of.clear();
         let mut unsendable = 0;
+        // Toward one peer, the export of a best path depends only on its
+        // attribute id and the peer it was learned from — unless the peer's
+        // export map matches on prefix. Consecutive prefixes on the same
+        // route (a table learned in one UPDATE) then reuse one probe.
+        let reuse = !self.export_prefix_sensitive[pi];
+        let mut last: Option<((AttrId, Ipv4Addr), Option<u32>)> = None;
         for &(id, best) in decided {
             let current = self.adj_out[pi]
                 .get(id.index())
                 .copied()
                 .unwrap_or(NOT_ADVERTISED);
-            let mut desired = best.and_then(|b| self.export_route(pi, id, &b));
+            let mut desired = match best {
+                None => None,
+                Some(b) => match last {
+                    Some((route, export)) if route == (b.attr_id, b.peer) => export,
+                    _ => {
+                        let export = self.export_route(pi, id, &b);
+                        if reuse {
+                            last = Some(((b.attr_id, b.peer), export));
+                        }
+                        export
+                    }
+                },
+            };
             // Only an announcement about to go out needs the size check:
             // what the peer already holds was sent, so it fit.
             if let Some(want) = desired {
@@ -2428,5 +2486,160 @@ mod tests {
             "the deny-all export took effect without a session reset"
         );
         assert!(h.speakers[0].rib().decide(prefix).is_some());
+    }
+
+    // ---- export reuse across a run of equal routes ------------------------
+
+    /// A hub in AS 64512 whose four peers are driven with raw messages:
+    /// A and B (lowest addresses first), C without policy and D whose
+    /// export map permits only `permit`.
+    fn hub(permit: Ipv4Prefix) -> BgpSpeaker {
+        let peer = |i: u8| addr4(10, 9, i, 2);
+        let only = RouteMap::new(vec![RouteMapClause {
+            action: PolicyAction::Permit,
+            matches: RouteMapMatch {
+                prefixes: vec![PrefixMatch::within(permit)],
+                ..RouteMapMatch::default()
+            },
+            set: RouteMapSet::default(),
+        }]);
+        let mut s = speaker_policed(
+            64512,
+            [9, 9, 9, 9],
+            (0..4)
+                .map(|i| (peer(i), addr4(10, 9, i, 1), 65001 + u16::from(i)))
+                .collect(),
+            vec![],
+            vec![(
+                peer(3),
+                PeerPolicy {
+                    import: None,
+                    export: Some(Arc::new(only)),
+                },
+            )],
+        );
+        s.start(SimTime::ZERO);
+        for i in 0..4 {
+            s.on_transport_up(peer(i), SimTime::ZERO);
+            let open = crate::msg::Message::Open(crate::msg::OpenMsg {
+                version: 4,
+                my_as: 65001 + u16::from(i),
+                hold_time: 0,
+                bgp_id: peer(i),
+                capabilities: vec![],
+            });
+            let bytes = [
+                &open.encode()[..],
+                &crate::msg::Message::Keepalive.encode()[..],
+            ]
+            .concat();
+            s.on_bytes(peer(i), SimTime::ZERO, &bytes);
+            assert_eq!(s.session_state(peer(i)), Some(SessionState::Established));
+        }
+        s
+    }
+
+    /// Delivers one UPDATE from peer `i` whose announcements carry the
+    /// same attributes whoever sends them (NEXT_HOP aside): one interned
+    /// set at the hub.
+    fn send_update(s: &mut BgpSpeaker, i: u8, withdrawn: &[Ipv4Prefix], nlri: &[Ipv4Prefix]) {
+        let from = addr4(10, 9, i, 2);
+        let update = crate::msg::UpdateMsg {
+            withdrawn: withdrawn.to_vec(),
+            attrs: (!nlri.is_empty()).then(|| {
+                Arc::new(PathAttributes {
+                    as_path: vec![crate::msg::AsPathSegment::Sequence(vec![65009])],
+                    ..PathAttributes::originated(from)
+                })
+            }),
+            nlri: nlri.to_vec(),
+        };
+        s.on_bytes(
+            from,
+            SimTime::ZERO,
+            &crate::msg::Message::Update(update).encode(),
+        );
+    }
+
+    /// Per peer index: the prefixes the drained UPDATEs announced and
+    /// withdrew.
+    type Told = BTreeMap<u8, (BTreeSet<Ipv4Prefix>, BTreeSet<Ipv4Prefix>)>;
+
+    fn told(s: &mut BgpSpeaker) -> Told {
+        let mut out = Told::new();
+        for o in s.take_outputs() {
+            let SpeakerOutput::SendBytes { peer, bytes } = o else {
+                continue;
+            };
+            let mut at = 0;
+            while at < bytes.len() {
+                let (m, used) = crate::msg::Message::decode(&bytes[at..])
+                    .expect("valid wire bytes")
+                    .expect("a whole message");
+                at += used;
+                if let crate::msg::Message::Update(u) = m {
+                    let entry = out.entry(peer.octets()[2]).or_default();
+                    entry.0.extend(u.nlri.iter().copied());
+                    entry.1.extend(u.withdrawn.iter().copied());
+                }
+            }
+        }
+        out
+    }
+
+    fn set(ps: &[Ipv4Prefix]) -> BTreeSet<Ipv4Prefix> {
+        ps.iter().copied().collect()
+    }
+
+    #[test]
+    fn export_reuse_keeps_split_horizon_and_prefix_sensitive_maps_per_prefix() {
+        let p1: Ipv4Prefix = "10.1.0.0/16".parse().unwrap();
+        let p2: Ipv4Prefix = "10.2.0.0/16".parse().unwrap();
+        let mut s = hub(p1);
+        // p2 is learned from A and B alike; A's lower address wins it.
+        send_update(&mut s, 0, &[], &[p2]);
+        send_update(&mut s, 1, &[], &[p2]);
+        assert_eq!(s.rib().decide(p2).unwrap().best.peer, addr4(10, 9, 0, 2));
+        let _ = told(&mut s);
+        // One UPDATE from A withdraws p2 and announces p1: one reconcile
+        // hands down p1 (best from A) next to p2 (best now from B), with
+        // one attribute id between them.
+        send_update(&mut s, 0, &[p2], &[p1]);
+        assert_eq!(
+            s.rib().decide(p1).unwrap().best.attr_id,
+            s.rib().decide(p2).unwrap().best.attr_id
+        );
+        // What a per-prefix export says each peer must be told: split
+        // horizon keeps p1 from A and now p2 from B; D's map permits p1
+        // only; C, which already holds p2 unchanged, learns p1.
+        let mut want = Told::new();
+        want.insert(0, (set(&[p2]), set(&[])));
+        want.insert(1, (set(&[p1]), set(&[p2])));
+        want.insert(2, (set(&[p1]), set(&[])));
+        want.insert(3, (set(&[p1]), set(&[])));
+        assert_eq!(told(&mut s), want);
+    }
+
+    #[test]
+    fn a_run_of_equal_routes_costs_one_export_probe_per_peer() {
+        let p1: Ipv4Prefix = "10.1.0.0/16".parse().unwrap();
+        let mut s = hub(p1);
+        let run: Vec<Ipv4Prefix> = (1..=3)
+            .map(|i| Ipv4Prefix::new(Ipv4Addr::new(10, i, 0, 0), 16))
+            .collect();
+        let probes = |s: &BgpSpeaker| {
+            let st = s.rib_stats();
+            st.export_cache_hits + st.export_cache_misses
+        };
+        let before = probes(&s);
+        send_update(&mut s, 0, &[], &run);
+        // A is the split-horizon peer (no probe); B and C probe once for
+        // the run; D's map matches on prefix, so it probes every prefix.
+        assert_eq!(probes(&s) - before, 1 + 1 + 3);
+        let mut want = Told::new();
+        want.insert(1, (set(&run), set(&[])));
+        want.insert(2, (set(&run), set(&[])));
+        want.insert(3, (set(&[p1]), set(&[])));
+        assert_eq!(told(&mut s), want);
     }
 }

@@ -27,6 +27,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+#[path = "support/split_to_fit.rs"]
+mod split_ref;
+use split_ref::split_to_fit;
+
 const LOCAL_AS: u16 = 64512;
 /// Peer AS numbers; 300 and 400 also sit on catalog paths, so exports of
 /// those paths toward those peers must be loop-suppressed.
@@ -509,8 +513,7 @@ impl Bench {
                 prop_assert_ne!(before, want, "peer {} already held {}", p, prefix);
             }
             // The bytes: the per-peer message, split as `split_to_fit` does.
-            let expected: Vec<Vec<u8>> = group
-                .split_to_fit()
+            let expected: Vec<Vec<u8>> = split_to_fit(group)
                 .into_iter()
                 .map(|u| Message::Update(u).encode().to_vec())
                 .collect();

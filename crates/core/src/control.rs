@@ -21,7 +21,7 @@
 //!   expiry (re-registered whenever the table or its `last_hit` state
 //!   changes).
 //!
-//! Only dirty or fired nodes get `poll_timers` / `take_outputs` /
+//! Only dirty or fired nodes get `poll_timers` / `drain_outputs` /
 //! `take_events`; untouched nodes cannot hold queued work, because every
 //! path that gives a node work also marks it dirty. `next_deadline()` is
 //! the wheel's O(1) minimum instead of a linear scan. The legacy
@@ -31,7 +31,7 @@
 //! [`PumpStats`] makes visible.
 
 use horse_bgp::rib::{AttrPool, RibStats};
-use horse_bgp::speaker::{BgpSpeaker, SpeakerOutput};
+use horse_bgp::speaker::{BgpSpeaker, Output};
 use horse_cm::FibInstaller;
 use horse_controller::{EcmpApp, HederaApp};
 use horse_dataplane::flowtable::{FlowEntry as DpFlowEntry, FlowKey};
@@ -375,28 +375,6 @@ pub struct BgpControl {
     prefix_pool: PrefixPool,
 }
 
-/// One ready speaker's drained round result: its outputs in emission
-/// order, plus `Some(new)` when its earliest deadline moved (`None` inner
-/// = no deadline left).
-type DrainedNode = (NodeId, Vec<SpeakerOutput>, Option<Option<SimTime>>);
-
-/// Delivers, polls and drains one ready speaker: step 2 of
-/// [`BgpControl::pump`] for one node.
-fn drain_one(
-    node: NodeId,
-    s: &mut BgpSpeaker,
-    msgs: Vec<(Ipv4Addr, bytes::Bytes)>,
-    now: SimTime,
-) -> DrainedNode {
-    for (from_addr, bytes) in msgs {
-        s.on_bytes(from_addr, now, &bytes);
-    }
-    s.poll_timers(now);
-    let outputs = s.take_outputs();
-    let deadline = s.take_deadline_dirty().then(|| s.next_deadline());
-    (node, outputs, deadline)
-}
-
 impl BgpControl {
     /// Builds from per-router setups (e.g. [`horse_topo::FatTree::bgp_setups`]).
     pub fn new(topo: &Topology, setups: BTreeMap<NodeId, BgpNodeSetup>) -> BgpControl {
@@ -407,17 +385,17 @@ impl BgpControl {
         let mut installer = FibInstaller::new();
         let mut connected = Vec::new();
         let attr_pool = AttrPool::new();
-        let prefix_pool = PrefixPool::new();
-        // Seed the shared prefix table in deterministic node order before
-        // any speaker exists. Every prefix a run can announce comes from
-        // some node's configured networks, so round-time interns are
-        // read-lock hits on ids fixed here, and every id is a function of
-        // the run's setups alone.
-        for setup in setups.values() {
-            for pfx in &setup.config.networks {
-                prefix_pool.intern(*pfx);
-            }
-        }
+        // Seed the shared prefix table before any speaker exists. Every
+        // prefix a run can announce comes from some node's configured
+        // networks, so round-time interns are read-lock hits on ids fixed
+        // here, every id is a function of the run's setups alone, and ids
+        // ascend with value: the speakers' value sorts of id lists find
+        // them already in order.
+        let prefix_pool = PrefixPool::seeded(
+            setups
+                .values()
+                .flat_map(|setup| setup.config.networks.iter().copied()),
+        );
         for (node, setup) in &setups {
             installer.register(*node, setup.addr_to_port.clone());
             for (pfx, port) in &setup.connected {
@@ -495,6 +473,15 @@ impl BgpControl {
     }
 
     fn start(&mut self, now: SimTime, dp: &mut DataPlane) {
+        // A router ends up with a route to about every prefix of the run:
+        // size its FIB once instead of growing the table through every
+        // doubling on the way there.
+        let prefixes = self.prefix_pool.len();
+        for node in self.speakers.keys() {
+            if let Some(fib) = dp.fib_mut(*node) {
+                fib.reserve(prefixes.saturating_sub(fib.len()));
+            }
+        }
         // Connected (host-facing) routes exist before BGP does.
         for (node, pfx, port) in &self.connected {
             self.installer.install_connected(dp, *node, *pfx, *port);
@@ -604,56 +591,52 @@ impl BgpControl {
             let Some(s) = self.speakers.get_mut(node) else {
                 continue;
             };
-            let msgs = by_dst.remove(node).unwrap_or_default();
-            let drained = drain_one(*node, s, msgs, now);
-            self.merge_drained(dp, drained, &mut out);
+            for (from_addr, bytes) in by_dst.remove(node).unwrap_or_default() {
+                s.on_bytes(from_addr, now, &bytes);
+            }
+            s.poll_timers(now);
+            self.stats.nodes_touched += 1;
+            if s.take_deadline_dirty() {
+                match s.next_deadline() {
+                    Some(d) => self.wheel.schedule(*node, d),
+                    None => {
+                        self.wheel.cancel(*node);
+                    }
+                }
+            }
+            // Queue the node's bytes for next step and apply its route
+            // changes now, through its FIB and neighbor map resolved once
+            // for however many routes this drain changed. The outputs
+            // borrow the speaker, so the merge borrows the other fields.
+            let mut routes = self.installer.for_node(dp, *node);
+            let (in_flight, installs) = (&mut self.in_flight, &mut self.installs);
+            let (local_addr_of, route_of_addr) = (&self.local_addr_of, &self.route_of_addr);
+            let installs_before = *installs;
+            s.drain_outputs(|o| {
+                out.activity = true;
+                match o {
+                    Output::SendBytes { peer, bytes } => {
+                        // `peer` is the remote's address on this session;
+                        // our local address on it is what the remote knows
+                        // us by.
+                        let from = local_addr_of[&(*node, peer)];
+                        if let Some(dst) = route_of_addr.get(&(*node, peer)) {
+                            in_flight.push((*dst, from, bytes));
+                        }
+                    }
+                    Output::RouteChanged { prefix, next_hops } => {
+                        if routes.as_mut().is_some_and(|r| r.apply(prefix, next_hops)) {
+                            *installs += 1;
+                        }
+                    }
+                    Output::SessionUp { .. } | Output::SessionDown { .. } => {}
+                }
+            });
+            if *installs != installs_before {
+                self.changed.push(*node);
+            }
         }
         out
-    }
-
-    /// Step 3 of [`BgpControl::pump`] for one drained node: re-register its
-    /// deadline, queue its bytes for next step and apply its route changes
-    /// now.
-    fn merge_drained(&mut self, dp: &mut DataPlane, drained: DrainedNode, out: &mut PumpOutcome) {
-        let (node, outputs, deadline) = drained;
-        self.stats.nodes_touched += 1;
-        if let Some(moved) = deadline {
-            match moved {
-                Some(d) => self.wheel.schedule(node, d),
-                None => {
-                    self.wheel.cancel(node);
-                }
-            }
-        }
-        // The node's FIB and neighbor map, resolved once for however many
-        // routes this drain changed.
-        let mut routes = self.installer.for_node(dp, node);
-        let installs_before = self.installs;
-        for o in outputs {
-            match o {
-                SpeakerOutput::SendBytes { peer, bytes } => {
-                    out.activity = true;
-                    // `peer` is the remote's address on this session; our
-                    // local address on it is what the remote knows us by.
-                    let from = self.local_addr_of[&(node, peer)];
-                    if let Some(dst) = self.route_of_addr.get(&(node, peer)) {
-                        self.in_flight.push((*dst, from, bytes));
-                    }
-                }
-                SpeakerOutput::RouteChanged { prefix, next_hops } => {
-                    out.activity = true;
-                    if routes.as_mut().is_some_and(|r| r.apply(prefix, &next_hops)) {
-                        self.installs += 1;
-                    }
-                }
-                SpeakerOutput::SessionUp { .. } | SpeakerOutput::SessionDown { .. } => {
-                    out.activity = true;
-                }
-            }
-        }
-        if self.installs != installs_before {
-            self.changed.push(node);
-        }
     }
 
     fn next_deadline(&self) -> Option<SimTime> {

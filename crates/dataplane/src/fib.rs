@@ -162,6 +162,12 @@ impl Fib {
         self.routes.is_empty()
     }
 
+    /// Makes room for at least `additional` more routes, so installing them
+    /// never grows the route table.
+    pub fn reserve(&mut self, additional: usize) {
+        self.routes.reserve(additional);
+    }
+
     /// Number of distinct entries currently interned.
     pub fn interned_entries(&self) -> usize {
         self.ids.len()

@@ -19,10 +19,12 @@
 //!   hasher every internal id table uses (see its docs for why a fixed
 //!   seed is acceptable here).
 //!
-//! Ids deliberately do **not** order like their values (they order by first
-//! appearance). Consumers that must iterate in value order — every
-//! determinism-sensitive path — sort id slices with the interner's
-//! [`PrefixInterner::sort_key`], which is monotone in the value's `Ord`.
+//! Ids order by first appearance, not by value. Consumers that must
+//! iterate in value order — every determinism-sensitive path — sort id
+//! slices with the interner's [`PrefixInterner::sort_key`], which is
+//! monotone in the value's `Ord`. A pool built with [`PrefixPool::seeded`]
+//! hands out its seed's ids in value order, so those sorts mostly find
+//! their input already in order; correctness never depends on it.
 
 use crate::addr::Ipv4Prefix;
 use std::collections::HashMap;
@@ -214,8 +216,8 @@ impl PrefixInterner {
 /// (without sharing, per-speaker tables dominate peak RSS at that scale).
 ///
 /// Interning is read-mostly: the owner seeds every prefix the experiment
-/// can ever announce (each speaker's originated networks, gathered in
-/// deterministic order) before the first pump, so steady-state interns
+/// can ever announce (each speaker's originated networks, see
+/// [`PrefixPool::seeded`]) before the first pump, so steady-state interns
 /// take only the read lock and every id is a function of the run. The
 /// write path exists for prefixes outside the seed (e.g. a standalone
 /// harness); the double-checked probe under the write lock keeps one id
@@ -227,6 +229,21 @@ impl PrefixPool {
     /// A fresh, empty pool.
     pub fn new() -> PrefixPool {
         PrefixPool::default()
+    }
+
+    /// A pool holding every prefix of `seed`, interned in ascending value
+    /// order (duplicates once): ids then ascend with value for every
+    /// seeded prefix, and a value sort of seeded ids is a sort of ids.
+    /// Prefixes interned later take the next ids, in first-intern order.
+    pub fn seeded(seed: impl IntoIterator<Item = Ipv4Prefix>) -> PrefixPool {
+        let mut seed: Vec<Ipv4Prefix> = seed.into_iter().collect();
+        seed.sort_unstable();
+        seed.dedup();
+        let mut table = PrefixInterner::default();
+        for p in seed {
+            table.intern(p);
+        }
+        PrefixPool(Arc::new(RwLock::new(table)))
     }
 
     /// Read access to the table — one lock acquisition for a whole batch
@@ -509,6 +526,39 @@ mod tests {
         let mut ids = vec![a, b, a];
         pool.sort_by_value(&mut ids);
         assert_eq!(ids, vec![b, a], "value order with dedup, like the interner");
+    }
+
+    #[test]
+    fn seeded_pool_ids_ascend_with_value_and_later_ids_still_sort() {
+        // The seed arrives in node order, with a prefix two nodes share.
+        let seed = [
+            pfx("10.9.0.0/16"),
+            pfx("10.1.0.0/24"),
+            pfx("10.1.0.0/16"),
+            pfx("0.0.0.0/0"),
+            pfx("10.9.0.0/16"),
+            pfx("192.168.0.0/16"),
+        ];
+        let pool = PrefixPool::seeded(seed);
+        assert_eq!(pool.len(), 5, "duplicates interned once");
+        let mut values = seed.to_vec();
+        values.sort();
+        values.dedup();
+        for (i, p) in values.iter().enumerate() {
+            assert_eq!(pool.get(*p), Some(PrefixId(i as u32)), "{p:?}");
+        }
+        // Ids interned after the seed follow it whatever their value;
+        // mixed with seeded ids, a value sort must still be one.
+        let late = [pfx("10.5.0.0/16"), pfx("1.0.0.0/8"), pfx("255.0.0.0/8")];
+        let late_ids: Vec<PrefixId> = late.iter().map(|p| pool.intern(*p)).collect();
+        assert_eq!(late_ids, vec![PrefixId(5), PrefixId(6), PrefixId(7)]);
+        let mut ids: Vec<PrefixId> = (0..8).rev().map(PrefixId).collect();
+        ids.push(PrefixId(2));
+        pool.sort_by_value(&mut ids);
+        let got: Vec<Ipv4Prefix> = ids.iter().map(|&id| pool.value(id)).collect();
+        let mut want: Vec<Ipv4Prefix> = values.iter().chain(&late).copied().collect();
+        want.sort();
+        assert_eq!(got, want);
     }
 
     #[test]
